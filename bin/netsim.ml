@@ -1425,9 +1425,8 @@ let run_replay dir =
       let r = Core.Runner.run ~budget scenario in
       match r.stop with
       | Engine.Sim.Event_budget ran when ran = meta.events_run ->
-        let now = r.t1 in
-        if meta.sim_now >= scenario.Core.Scenario.warmup && now <> meta.sim_now
-        then
+        let now = Engine.Sim.now (Net.Network.sim r.dumbbell.net) in
+        if now <> meta.sim_now then
           mismatch "stopped after %d events but at t=%.9g; original t=%.9g"
             ran now meta.sim_now
         else ok "stopped after %d events at t=%.9g, as recorded" ran now

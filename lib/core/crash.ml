@@ -22,7 +22,9 @@ type meta = {
   max_wall : float option;
 }
 
-let format_tag = "netsim-bundle-v1"
+(* Bump whenever [Scenario.t]'s layout changes: [load] unmarshals
+   scenario.bin unchecked, so an old bundle must be refused by its tag. *)
+let format_tag = "netsim-bundle-v2"
 
 let kind_exception = "exception"
 let kind_validation = "validation"

@@ -702,13 +702,34 @@ let delack_table ?(speed = Full) () =
 (* TAB-MHOP: four-switch chain                                         *)
 (* ------------------------------------------------------------------ *)
 
-let multihop_table ?(speed = Full) () =
-  let spec =
-    match speed with
-    | Full -> Multihop.default_spec
-    | Quick -> { Multihop.default_spec with duration = 250.; warmup = 100. }
+(* Endpoints cycle so path lengths run through 1 .. num_switches-1 trunk
+   hops and directions alternate, roughly the traffic pattern of §5. *)
+let chain_conn ~num_switches ~start_time i =
+  let hops = 1 + (i mod (num_switches - 1)) in
+  let origin = i / (num_switches - 1) mod (num_switches - hops) in
+  Scenario.conn ~start_time ~span:(origin, origin + hops)
+    (if i mod 2 = 0 then Scenario.Forward else Scenario.Reverse)
+
+let scenario_chain ?(num_switches = 4) ?(connections = 48) ?(buffer = Some 30)
+    ?(seed = 42) ?faults ~duration ~warmup () =
+  if num_switches < 2 then
+    invalid_arg "Experiments.scenario_chain: fewer than 2 switches";
+  let rng = Engine.Rng.create ~seed in
+  Scenario.make ~name:"multihop" ~num_switches ~tau:0.01 ~buffer
+    ~conns:
+      (List.init connections (fun i ->
+           chain_conn ~num_switches i
+             ~start_time:(Engine.Rng.uniform rng ~lo:0. ~hi:10.)))
+    ~duration ~warmup ?faults ~fault_seed:seed ()
+
+let scenario_multihop speed =
+  let duration, warmup =
+    match speed with Full -> (400., 150.) | Quick -> (250., 100.)
   in
-  let r = Multihop.run spec in
+  scenario_chain ~duration ~warmup ()
+
+let multihop_table ?(speed = Full) () =
+  let r = Runner.run (scenario_multihop speed) in
   let mid = Array.length r.trunk_queues / 2 in
   let q_fwd, _ = r.trunk_queues.(mid) in
   let dep_fwd, _ = r.trunk_deps.(mid) in

@@ -31,6 +31,28 @@ val scenario_fixed :
   ?ack_size:int -> tau:float -> w1:int -> w2:int -> speed -> Scenario.t
 (** Fixed windows [w1] (forward) and [w2] (reverse), infinite buffers. *)
 
+val scenario_chain :
+  ?num_switches:int ->
+  ?connections:int ->
+  ?buffer:int option ->
+  ?seed:int ->
+  ?faults:(Scenario.fault_site * Faults.Spec.t) list ->
+  duration:float ->
+  warmup:float ->
+  unit ->
+  Scenario.t
+(** The §5 chain (the paper cites a four-switch topology from [19]):
+    [connections] Tahoe connections (default 48) on a [num_switches]
+    chain (default 4), tau = 0.01 s, B = 30 per trunk port.  Connection
+    [i]'s path spans [1 + i mod (num_switches - 1)] trunks, directions
+    alternate, and start times are drawn uniformly from [\[0, 10)] s by
+    an {!Engine.Rng} seeded with [seed] (default 42), which also seeds
+    the fault plans. *)
+
+val scenario_multihop : speed -> Scenario.t
+(** TAB-MHOP: {!scenario_chain} over 400 s (warm-up 150 s), or 250 s
+    (warm-up 100 s) at [Quick]. *)
+
 (** {1 Experiments} *)
 
 val fig2 : ?speed:speed -> unit -> Report.outcome

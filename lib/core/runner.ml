@@ -12,6 +12,9 @@ type result = {
   scenario : Scenario.t;
   dumbbell : Net.Topology.dumbbell;
   conns : (Scenario.conn_spec * Tcp.Connection.t) array;
+  trunk_queues : (Trace.Queue_trace.t * Trace.Queue_trace.t) array;
+  trunk_deps : (Trace.Dep_log.t * Trace.Dep_log.t) array;
+  trunk_utils : (float * float) array;
   q1 : Trace.Queue_trace.t;
   q2 : Trace.Queue_trace.t;
   cwnds : Trace.Cwnd_trace.t array;
@@ -40,12 +43,18 @@ let env_forces_validation () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let connection_config (d : Net.Topology.dumbbell) ~conn_id
+(* [f] on both sides of a trunk pair, right-going first. *)
+let both f (fwd, bwd) =
+  let a = f fwd in
+  (a, f bwd)
+
+let connection_config (c : Net.Topology.chain) ~conn_id
     (spec : Scenario.conn_spec) =
+  let lo, hi = spec.span in
   let src_host, dst_host =
     match spec.dir with
-    | Scenario.Forward -> (d.host1, d.host2)
-    | Scenario.Reverse -> (d.host2, d.host1)
+    | Scenario.Forward -> (c.hosts.(lo), c.hosts.(hi))
+    | Scenario.Reverse -> (c.hosts.(hi), c.hosts.(lo))
   in
   Tcp.Config.make ~conn:conn_id ~src_host ~dst_host ~ack_size:spec.ack_size
     ~maxwnd:spec.maxwnd ~cc:spec.cc ~start_time:spec.start_time
@@ -58,12 +67,15 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
   let sim = Engine.Sim.create () in
   let params = Net.Topology.params ~gateway:scenario.gateway ~tau:scenario.tau
       ~buffer:scenario.buffer () in
-  let dumbbell = Net.Topology.dumbbell sim params in
+  let chain =
+    Net.Topology.chain sim params ~num_switches:scenario.num_switches
+  in
+  let dumbbell = Net.Topology.dumbbell_of_chain chain in
   let conns =
     Array.of_list
       (List.mapi
          (fun i spec ->
-           let config = connection_config dumbbell ~conn_id:(i + 1) spec in
+           let config = connection_config chain ~conn_id:(i + 1) spec in
            (spec, Tcp.Connection.create dumbbell.net config))
          scenario.conns)
   in
@@ -73,10 +85,10 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
   let fault_plans =
     List.map
       (fun (site, spec) ->
+        let trunk, side = Scenario.fault_trunk site in
+        let fwd, bwd = chain.trunks.(trunk) in
         let link =
-          match site with
-          | Scenario.Fwd_bottleneck -> dumbbell.Net.Topology.fwd
-          | Scenario.Bwd_bottleneck -> dumbbell.Net.Topology.bwd
+          match side with Scenario.Forward -> fwd | Scenario.Reverse -> bwd
         in
         (site, Faults.Plan.install dumbbell.net link ~seed:scenario.fault_seed
                  spec))
@@ -107,8 +119,11 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
     else None
   in
   let now = Engine.Sim.now sim in
-  let q1 = Trace.Queue_trace.attach dumbbell.fwd ~now in
-  let q2 = Trace.Queue_trace.attach dumbbell.bwd ~now in
+  (* Per-trunk recorders, each attached once; trunk 0 is the dumbbell
+     bottleneck and also backs the [q1]/[q2]/[dep_*]/[util_*] fields. *)
+  let trunk_queues =
+    Array.map (both (fun l -> Trace.Queue_trace.attach l ~now)) chain.trunks
+  in
   let cwnds =
     Array.map
       (fun (_spec, c) -> Trace.Cwnd_trace.attach (Tcp.Connection.sender c) ~now)
@@ -116,8 +131,7 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
   in
   let drops = Trace.Drop_log.create () in
   List.iter (Trace.Drop_log.watch drops) (Net.Network.links dumbbell.net);
-  let dep_fwd = Trace.Dep_log.attach dumbbell.fwd in
-  let dep_bwd = Trace.Dep_log.attach dumbbell.bwd in
+  let trunk_deps = Array.map (both Trace.Dep_log.attach) chain.trunks in
   let soj_fwd = Trace.Sojourn_trace.attach dumbbell.fwd in
   let soj_bwd = Trace.Sojourn_trace.attach dumbbell.bwd in
   (* Metering starts at the end of warm-up. *)
@@ -128,8 +142,9 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
          let now = Engine.Sim.now sim in
          meters :=
            Some
-             ( Trace.Util_meter.start dumbbell.fwd ~now,
-               Trace.Util_meter.start dumbbell.bwd ~now );
+             (Array.map
+                (both (fun l -> Trace.Util_meter.start l ~now))
+                chain.trunks);
          Array.iteri
            (fun i (_spec, c) ->
              delivered_at_warmup.(i) <- Tcp.Connection.delivered c)
@@ -226,17 +241,19 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
           summary)
    | _ -> ());
   (match obs with Some probe -> Obs.Probe.finish probe | None -> ());
-  let util_fwd, util_bwd =
+  let trunk_utils =
     match !meters with
-    | Some (fwd, bwd) ->
-      ( Trace.Util_meter.utilization fwd ~now,
-        Trace.Util_meter.utilization bwd ~now )
+    | Some meters ->
+      Array.map (both (fun m -> Trace.Util_meter.utilization m ~now)) meters
     | None ->
       (* A run stopped before the warmup event has no measurement
          window; report zeros rather than failing the salvage. *)
-      if stopped_early then (0., 0.)
+      if stopped_early then Array.map (both (fun _ -> 0.)) chain.trunks
       else failwith "Runner: warmup event never fired"
   in
+  let q1, q2 = trunk_queues.(0) in
+  let dep_fwd, dep_bwd = trunk_deps.(0) in
+  let util_fwd, util_bwd = trunk_utils.(0) in
   let delivered =
     match !meters with
     | None -> Array.make (Array.length conns) 0
@@ -250,6 +267,9 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
     scenario;
     dumbbell;
     conns;
+    trunk_queues;
+    trunk_deps;
+    trunk_utils;
     q1;
     q2;
     cwnds;
@@ -275,7 +295,13 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
 let validation_report r =
   Option.map (fun h -> Validate.Harness.report h) r.validation
 
-let goodput r i = float_of_int r.delivered.(i) /. (r.t1 -. r.t0)
+(* A run stopped before warm-up has an empty window ([t1 = t0]): nothing
+   was measured, so rates are zero and phases unclassified. *)
+let empty_window r = r.t1 <= r.t0
+
+let goodput r i =
+  if empty_window r then 0.
+  else float_of_int r.delivered.(i) /. (r.t1 -. r.t0)
 
 let goodput_dir r dir =
   let total = ref 0. in
@@ -289,23 +315,25 @@ let drops_in_window r = Trace.Drop_log.in_window r.drops ~t0:r.t0 ~t1:r.t1
 
 let epochs ?(gap = 5.) r = Analysis.Epochs.detect ~gap (drops_in_window r)
 
+let classify r a b =
+  if empty_window r then (Analysis.Sync.Unclassified, Float.nan)
+  else Analysis.Sync.classify a b ~t0:r.t0 ~t1:r.t1 ~dt:r.scenario.sample_dt
+
 let queue_phase r =
-  Analysis.Sync.classify
-    (Trace.Queue_trace.series r.q1)
-    (Trace.Queue_trace.series r.q2)
-    ~t0:r.t0 ~t1:r.t1 ~dt:r.scenario.sample_dt
+  classify r (Trace.Queue_trace.series r.q1) (Trace.Queue_trace.series r.q2)
 
 let cwnd_phase r i j =
-  Analysis.Sync.classify
+  classify r
     (Trace.Cwnd_trace.cwnd r.cwnds.(i))
     (Trace.Cwnd_trace.cwnd r.cwnds.(j))
-    ~t0:r.t0 ~t1:r.t1 ~dt:r.scenario.sample_dt
 
 let effective_pipe r =
   let data_tx = Scenario.data_tx r.scenario in
   let pipe trace =
     Trace.Sojourn_trace.effective_pipe_packets trace ~data_tx ~t0:r.t0 ~t1:r.t1
   in
+  if empty_window r then None
+  else
   match (pipe r.soj_fwd, pipe r.soj_bwd) with
   | Some a, Some b -> Some (Float.max a b)
   | (Some _ as x), None | None, (Some _ as x) -> x

@@ -17,15 +17,24 @@ type result = {
   dumbbell : Net.Topology.dumbbell;
   conns : (Scenario.conn_spec * Tcp.Connection.t) array;
       (** in scenario order; connection ids are 1-based indices *)
-  q1 : Trace.Queue_trace.t;  (** bottleneck queue at Switch-1 (fwd direction) *)
+  trunk_queues : (Trace.Queue_trace.t * Trace.Queue_trace.t) array;
+      (** per trunk, in chain order: (right-going, left-going) queue *)
+  trunk_deps : (Trace.Dep_log.t * Trace.Dep_log.t) array;
+      (** per trunk: departures (right-going, left-going) *)
+  trunk_utils : (float * float) array;
+      (** per trunk: utilization (right-going, left-going) over the
+          window *)
+  q1 : Trace.Queue_trace.t;
+      (** bottleneck queue at Switch-1 (fwd direction); trunk 0's *)
   q2 : Trace.Queue_trace.t;  (** bottleneck queue at Switch-2 (rev direction) *)
   cwnds : Trace.Cwnd_trace.t array;  (** in scenario order *)
   drops : Trace.Drop_log.t;  (** drops anywhere in the network *)
-  dep_fwd : Trace.Dep_log.t;  (** departures from the fwd bottleneck *)
+  dep_fwd : Trace.Dep_log.t;  (** departures from the fwd bottleneck (trunk 0) *)
   dep_bwd : Trace.Dep_log.t;
-  soj_fwd : Trace.Sojourn_trace.t;  (** per-packet queueing delay, fwd *)
+  soj_fwd : Trace.Sojourn_trace.t;
+      (** per-packet queueing delay, fwd (trunk 0 only) *)
   soj_bwd : Trace.Sojourn_trace.t;
-  util_fwd : float;  (** fwd bottleneck utilization over the window *)
+  util_fwd : float;  (** fwd bottleneck utilization over the window (trunk 0) *)
   util_bwd : float;
   t0 : float;  (** measurement window start (= warmup) *)
   t1 : float;  (** measurement window end (= duration) *)
@@ -85,11 +94,8 @@ val run :
 (** The finalized validation report, if validation was enabled. *)
 val validation_report : result -> Validate.Report.t option
 
-(** Is the [NETSIM_VALIDATE] environment variable set (to anything but
-    [""] or ["0"])? *)
-val env_forces_validation : unit -> bool
-
-(** Goodput of connection [i] (packets/s) over the measurement window. *)
+(** Goodput of connection [i] (packets/s) over the measurement window;
+    0 for an empty window (a run stopped before warm-up). *)
 val goodput : result -> int -> float
 
 (** Aggregate goodput (packets/s) of connections sending in [dir]. *)
@@ -101,14 +107,17 @@ val drops_in_window : result -> Trace.Drop_log.record list
 (** Congestion epochs within the window (gap defaults to 5 s). *)
 val epochs : ?gap:float -> result -> Analysis.Epochs.t list
 
-(** Phase classification of the two bottleneck queue series. *)
+(** Phase classification of the two bottleneck queue series;
+    [(Unclassified, nan)] for an empty window. *)
 val queue_phase : result -> Analysis.Sync.phase * float
 
-(** Phase classification of two connections' cwnd series. *)
+(** Phase classification of two connections' cwnd series;
+    [(Unclassified, nan)] for an empty window. *)
 val cwnd_phase : result -> int -> int -> Analysis.Sync.phase * float
 
 (** Mean ACK queueing delay over the window, expressed in data-packet
     transmission times — the paper's effective-pipe contribution (4.2).
     The maximum of the two directions (ACK clusters ride whichever queue
-    is congested).  [None] if no ACKs crossed the bottleneck. *)
+    is congested).  [None] if no ACKs crossed the bottleneck, or the
+    window is empty. *)
 val effective_pipe : result -> float option

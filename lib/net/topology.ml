@@ -37,19 +37,6 @@ let attach_host net p ~name ~switch =
   in
   host
 
-let dumbbell sim p =
-  let net = Network.create sim in
-  let switch1 = Network.add_switch net ~name:"sw1" in
-  let switch2 = Network.add_switch net ~name:"sw2" in
-  let fwd, bwd =
-    Network.add_duplex ~discipline:p.gateway net ~src:switch1 ~dst:switch2
-      ~bandwidth:p.bottleneck_bw ~prop_delay:p.tau ~buffer:p.buffer
-  in
-  let host1 = attach_host net p ~name:"host1" ~switch:switch1 in
-  let host2 = attach_host net p ~name:"host2" ~switch:switch2 in
-  Routing.compute net;
-  { net; host1; host2; switch1; switch2; fwd; bwd }
-
 type chain = {
   cnet : Network.t;
   hosts : int array;
@@ -78,3 +65,17 @@ let chain sim p ~num_switches =
   in
   Routing.compute net;
   { cnet = net; hosts; switches; trunks }
+
+let dumbbell_of_chain c =
+  let fwd, bwd = c.trunks.(0) in
+  {
+    net = c.cnet;
+    host1 = c.hosts.(0);
+    host2 = c.hosts.(1);
+    switch1 = c.switches.(0);
+    switch2 = c.switches.(1);
+    fwd;
+    bwd;
+  }
+
+let dumbbell sim p = dumbbell_of_chain (chain sim p ~num_switches:2)

@@ -32,12 +32,9 @@ type dumbbell = {
   bwd : Link.t;  (** bottleneck Switch-2 -> Switch-1 *)
 }
 
-(** Build the dumbbell and install routes. *)
-val dumbbell : Engine.Sim.t -> params -> dumbbell
-
 (** A chain of [num_switches] switches, one host per switch, every
-    inter-switch link a bottleneck with [params]' characteristics.  Used
-    for the §5 four-switch configuration. *)
+    inter-switch link a bottleneck with [params]' characteristics.  The
+    dumbbell is the two-switch chain; the §5 configuration has four. *)
 type chain = {
   cnet : Network.t;
   hosts : int array;  (** hosts.(i) hangs off switches.(i) *)
@@ -46,4 +43,15 @@ type chain = {
       (** trunks.(i) joins switches i and i+1: (right-going, left-going) *)
 }
 
+(** Build the chain and install routes.  Nodes are created switches
+    first (["sw1"], ["sw2"], ...), then trunks left to right, then one
+    host per switch (["host1"], ...).
+    @raise Invalid_argument if [num_switches < 2]. *)
 val chain : Engine.Sim.t -> params -> num_switches:int -> chain
+
+(** Trunk 0 seen as a dumbbell: switches 0 and 1, their hosts, and the
+    trunk's right-going ([fwd]) and left-going ([bwd]) links. *)
+val dumbbell_of_chain : chain -> dumbbell
+
+(** The Figure-1 dumbbell: trunk 0 of a two-switch chain. *)
+val dumbbell : Engine.Sim.t -> params -> dumbbell

@@ -1,7 +1,8 @@
 (* Golden-trace generator: runs the canonical one-way and two-way
-   scenarios (validation on) and prints a digest of each — drop count,
-   both utilizations, final congestion windows, and an MD5 checksum over
-   the full bottleneck queue series.
+   scenarios and the §5 chain (validation on) and prints a digest of
+   each — drop count, utilizations, final congestion windows or
+   deliveries, and an MD5 checksum over every full bottleneck queue
+   series.
 
    The output is diffed against the committed [golden.digest] by the
    [runtest] alias; an intentional behaviour change is accepted with
@@ -16,15 +17,18 @@ let series_checksum s =
       Buffer.add_string buf (Printf.sprintf "%.9g:%.9g;" time value));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let digest (scenario : Core.Scenario.t) =
-  let r = Core.Runner.run scenario in
-  (match Core.Runner.validation_report r with
+(* A golden scenario must also be invariant-clean; bail loudly so the
+   digest never silently encodes a buggy run. *)
+let check_clean r =
+  match Core.Runner.validation_report r with
   | Some report when not (Validate.Report.is_clean report) ->
-    (* A golden scenario must also be invariant-clean; bail loudly so the
-       digest never silently encodes a buggy run. *)
     prerr_endline (Validate.Report.to_string report);
     failwith "golden scenario violated an invariant"
-  | _ -> ());
+  | _ -> ()
+
+let digest (scenario : Core.Scenario.t) =
+  let r = Core.Runner.run scenario in
+  check_clean r;
   Printf.printf "[%s]\n" scenario.Core.Scenario.name;
   Printf.printf "drops = %d\n" (Trace.Drop_log.total r.Core.Runner.drops);
   Printf.printf "util_fwd = %.6f\n" r.Core.Runner.util_fwd;
@@ -40,6 +44,35 @@ let digest (scenario : Core.Scenario.t) =
     (series_checksum (Trace.Queue_trace.series r.Core.Runner.q2));
   print_newline ()
 
+(* The §5 chain (Quick TAB-MHOP spec, validation on): per-trunk queue
+   series and utilizations in both directions, and each connection's
+   total deliveries. *)
+let multihop_digest () =
+  let scenario =
+    { (Core.Experiments.scenario_multihop Core.Experiments.Quick) with
+      validate = true }
+  in
+  let r = Core.Runner.run scenario in
+  check_clean r;
+  print_endline "[multihop]";
+  Printf.printf "drops = %d\n" (Trace.Drop_log.total r.Core.Runner.drops);
+  Array.iteri
+    (fun i (u_fwd, u_bwd) ->
+      let q_fwd, q_bwd = r.Core.Runner.trunk_queues.(i) in
+      Printf.printf "trunk%d_util_fwd = %.6f\n" i u_fwd;
+      Printf.printf "trunk%d_util_bwd = %.6f\n" i u_bwd;
+      Printf.printf "trunk%d_queue_fwd_md5 = %s\n" i
+        (series_checksum (Trace.Queue_trace.series q_fwd));
+      Printf.printf "trunk%d_queue_bwd_md5 = %s\n" i
+        (series_checksum (Trace.Queue_trace.series q_bwd)))
+    r.Core.Runner.trunk_utils;
+  Array.iteri
+    (fun i (_, conn) ->
+      Printf.printf "delivered_%d = %d\n" (i + 1)
+        (Tcp.Connection.delivered conn))
+    r.Core.Runner.conns;
+  print_newline ()
+
 let () =
   let open Core.Scenario in
   (* The paper's baseline: one connection over the long-wire dumbbell. *)
@@ -52,4 +85,5 @@ let () =
   digest
     (make ~name:"two-way" ~tau:0.01 ~buffer:(Some 20)
        ~conns:(stagger ~step:2. [ conn Forward; conn Reverse ])
-       ~duration:120. ~warmup:40. ~validate:true ())
+       ~duration:120. ~warmup:40. ~validate:true ());
+  multihop_digest ()

@@ -14,6 +14,16 @@ let cascade sim ~dt ~count =
   in
   ignore (Engine.Sim.schedule sim ~delay:dt step : Engine.Sim.handle)
 
+(* Index of the first [needle] in [hay]. *)
+let find_sub hay needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length hay then None
+    else if String.sub hay i n = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
 let stop_reason =
   Alcotest.testable
     (fun ppf r -> Format.pp_print_string ppf (Engine.Sim.stop_reason_to_string r))
@@ -128,7 +138,25 @@ let test_runner_stop_before_warmup () =
     (fun d -> Alcotest.(check int) "nothing delivered" 0 d)
     r.Core.Runner.delivered;
   Alcotest.(check (float 0.)) "window degenerates to warmup" 5.
-    r.Core.Runner.t1
+    r.Core.Runner.t1;
+  (* The empty window must not break the analyses run on a partial
+     result: rates are zero and phases unclassified. *)
+  Alcotest.(check (float 0.)) "zero goodput" 0. (Core.Runner.goodput r 0);
+  let phase_is_unclassified what (phase, corr) =
+    Alcotest.(check string) what "unclassified"
+      (Analysis.Sync.phase_to_string phase);
+    Alcotest.(check bool) (what ^ " correlation is nan") true
+      (Float.is_nan corr)
+  in
+  phase_is_unclassified "queue phase" (Core.Runner.queue_phase r);
+  phase_is_unclassified "cwnd phase" (Core.Runner.cwnd_phase r 0 1);
+  Alcotest.(check bool) "no effective pipe" true
+    (Core.Runner.effective_pipe r = None);
+  let json =
+    Sweep.Summary.to_json (Sweep.Summary.of_result ~id:"early" r)
+  in
+  Alcotest.(check bool) "summary encodes the nan correlation as null" true
+    (find_sub json "\"phase_corr\":null" <> None)
 
 let test_runner_unbudgeted_result_unchanged () =
   (* The guarded loop must be invisible: a budget too large to trip
@@ -245,13 +273,49 @@ let test_exception_bundle_fields () =
       Alcotest.(check (option string)) "backtrace" (Some "Raised at ...")
         meta.Core.Crash.backtrace)
 
-(* ---------------- flush-and-close on exception paths ---------------- *)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let test_old_bundle_format_rejected () =
+  (* A bundle written under an older Scenario.t layout must be refused
+     before its scenario.bin is unmarshaled. *)
+  let dir = "robustness-bundles-v1" in
+  remove_tree dir;
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let path =
+    match
+      Core.Crash.write ~dir ~scenario:(scenario ~name:"old" ())
+        ~sim:(Engine.Sim.create ()) ~kind:Core.Crash.kind_interrupt
+        ~reason:"stop requested" ()
+    with
+    | Ok path -> path
+    | Error msg -> Alcotest.fail ("write failed: " ^ msg)
+  in
+  let meta_file = Filename.concat path "meta.json" in
+  let text = read_file meta_file in
+  let tag = "netsim-bundle-v2" in
+  let v1 =
+    match find_sub text tag with
+    | None -> Alcotest.fail "no v2 format tag"
+    | Some at ->
+      let rest = at + String.length tag in
+      String.sub text 0 at ^ "netsim-bundle-v1"
+      ^ String.sub text rest (String.length text - rest)
+  in
+  (match Core.Crash.meta_of_json v1 with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "v1 meta.json accepted");
+  let oc = open_out_bin meta_file in
+  output_string oc v1;
+  close_out oc;
+  match Core.Crash.load path with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "v1 bundle loaded"
+
+(* ---------------- flush-and-close on exception paths ---------------- *)
 
 let test_with_file_sink_flushes_on_raise () =
   let path = "robustness-torn-trace.bin" in
@@ -341,6 +405,8 @@ let suite =
         test_bundle_write_load_replay;
       Alcotest.test_case "exception bundle fields" `Quick
         test_exception_bundle_fields;
+      Alcotest.test_case "old bundle format rejected" `Quick
+        test_old_bundle_format_rejected;
       Alcotest.test_case "file sink flushes on raise" `Quick
         test_with_file_sink_flushes_on_raise;
       Alcotest.test_case "crashed traced run parseable" `Quick
