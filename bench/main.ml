@@ -61,32 +61,34 @@ let run_experiments names =
 (* 2. Figure gallery                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let plot_run title (r : Core.Runner.result) ~span =
+let plot_run title scenario ~span =
+  let r = Core.Runner.run ~traces:true scenario in
+  let tr = Core.Runner.traces r in
   Printf.printf "\n--- %s ---\n" title;
   let t1 = r.t1 in
   let t0 = Float.max r.t0 (t1 -. span) in
   Printf.printf "queue at switch 1 (packets), [%.0f, %.0f] s:\n" t0 t1;
   print_string
     (Core.Ascii_plot.render ~width:96 ~height:13
-       (Trace.Queue_trace.series r.q1) ~t0 ~t1);
+       (Trace.Queue_trace.series tr.q1) ~t0 ~t1);
   Printf.printf "queue at switch 2 (packets):\n";
   print_string
     (Core.Ascii_plot.render ~width:96 ~height:13
-       (Trace.Queue_trace.series r.q2) ~t0 ~t1);
-  if Array.length r.cwnds >= 2 then begin
+       (Trace.Queue_trace.series tr.q2) ~t0 ~t1);
+  if Array.length tr.cwnds >= 2 then begin
     Printf.printf "congestion windows over the full window:\n";
     print_string
       (Core.Ascii_plot.render_pair ~width:96 ~height:13
          ~labels:("cwnd-1", "cwnd-2")
-         (Trace.Cwnd_trace.cwnd r.cwnds.(0))
-         (Trace.Cwnd_trace.cwnd r.cwnds.(1))
+         (Trace.Cwnd_trace.cwnd tr.cwnds.(0))
+         (Trace.Cwnd_trace.cwnd tr.cwnds.(1))
          ~t0:r.t0 ~t1:r.t1)
   end
-  else if Array.length r.cwnds = 1 then begin
+  else if Array.length tr.cwnds = 1 then begin
     Printf.printf "congestion window over the full window:\n";
     print_string
       (Core.Ascii_plot.render ~width:96 ~height:13
-         (Trace.Cwnd_trace.cwnd r.cwnds.(0))
+         (Trace.Cwnd_trace.cwnd tr.cwnds.(0))
          ~t0:r.t0 ~t1:r.t1)
   end
 
@@ -94,22 +96,22 @@ let run_gallery () =
   banner "FIGURE GALLERY: the series the paper plots";
   let speed = Core.Experiments.Full in
   plot_run "Figure 2: one-way, 3 connections, tau=1s"
-    (Core.Runner.run (Core.Experiments.scenario_fig2 speed))
+    (Core.Experiments.scenario_fig2 speed)
     ~span:120.;
   plot_run "Figure 3: two-way, 5+5 connections, tau=0.01s"
-    (Core.Runner.run (Core.Experiments.scenario_fig3 speed))
+    (Core.Experiments.scenario_fig3 speed)
     ~span:30.;
   plot_run "Figures 4-5: two-way, 1+1, tau=0.01s (out-of-phase)"
-    (Core.Runner.run (Core.Experiments.scenario_fig45 speed))
+    (Core.Experiments.scenario_fig45 speed)
     ~span:30.;
   plot_run "Figures 6-7: two-way, 1+1, tau=1s (in-phase)"
-    (Core.Runner.run (Core.Experiments.scenario_fig67 speed))
+    (Core.Experiments.scenario_fig67 speed)
     ~span:120.;
   plot_run "Figure 8: fixed windows 30/25, tau=0.01s"
-    (Core.Runner.run (Core.Experiments.scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 speed))
+    (Core.Experiments.scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 speed)
     ~span:20.;
   plot_run "Figure 9: fixed windows 30/25, tau=1s"
-    (Core.Runner.run (Core.Experiments.scenario_fixed ~tau:1.0 ~w1:30 ~w2:25 speed))
+    (Core.Experiments.scenario_fixed ~tau:1.0 ~w1:30 ~w2:25 speed)
     ~span:20.
 
 (* ------------------------------------------------------------------ *)

@@ -571,7 +571,7 @@ let run_custom tau buffer fwd rev fixed delack ack_size algorithm cc pacing
     Core.Runner.run ~obs:obs_setup
       ~budget:(budget_of_guard guard_cli)
       ~stop:(fun () -> !interrupted)
-      ?bundle_dir:guard_cli.bundle_dir scenario
+      ?bundle_dir:guard_cli.bundle_dir ~traces:(csv_dir <> None) scenario
   in
   (* Runner already finished the probe (chrome footer written). *)
   (match (obs_cli.metrics_out, r.obs) with
@@ -636,13 +636,11 @@ let run_custom tau buffer fwd rev fixed delack ack_size algorithm cc pacing
       | Some t -> Printf.printf "conn %d completed its flow at t=%.2fs\n" (i + 1) t
       | None -> ())
     r.conns;
-  let drops = Core.Runner.drops_in_window r in
-  Printf.printf "drops in window: %d\n" (List.length drops);
-  let epochs = Core.Runner.epochs r in
-  (match Analysis.Epochs.mean_drops epochs with
+  Printf.printf "drops in window: %d\n" r.tally.drops_window;
+  (match Trace.Tally.mean_drops_per_epoch r.tally with
    | Some m ->
      Printf.printf "congestion epochs: %d (mean %.2f drops each)\n"
-       (List.length epochs) m
+       r.tally.epochs m
    | None -> print_endline "congestion epochs: none");
   let qphase, qcorr = Core.Runner.queue_phase r in
   Printf.printf "queue synchronization: %s (r=%.2f)\n"
@@ -1044,26 +1042,27 @@ let plot_figure name quick width validate =
     if validate then { scenario with Core.Scenario.validate = true }
     else scenario
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~traces:true scenario in
+  let tr = Core.Runner.traces r in
   let span = Float.min 40. (r.t1 -. r.t0) in
   let t0 = r.t1 -. span and t1 = r.t1 in
   Printf.printf "%s: queue at switch 1 (packets)\n" name;
   print_string
     (Core.Ascii_plot.render ~width
-       (Trace.Queue_trace.series r.q1)
+       (Trace.Queue_trace.series tr.q1)
        ~t0 ~t1);
   Printf.printf "\n%s: queue at switch 2 (packets)\n" name;
   print_string
     (Core.Ascii_plot.render ~width
-       (Trace.Queue_trace.series r.q2)
+       (Trace.Queue_trace.series tr.q2)
        ~t0 ~t1);
-  if Array.length r.cwnds >= 2 then begin
+  if Array.length tr.cwnds >= 2 then begin
     print_newline ();
     Printf.printf "%s: congestion windows\n" name;
     print_string
       (Core.Ascii_plot.render_pair ~width ~labels:("cwnd-1", "cwnd-2")
-         (Trace.Cwnd_trace.cwnd r.cwnds.(0))
-         (Trace.Cwnd_trace.cwnd r.cwnds.(1))
+         (Trace.Cwnd_trace.cwnd tr.cwnds.(0))
+         (Trace.Cwnd_trace.cwnd tr.cwnds.(1))
          ~t0:r.t0 ~t1:r.t1)
   end;
   report_validation r
@@ -1092,7 +1091,7 @@ let dump_figures dir quick validate =
       if validate then { scenario with Core.Scenario.validate = true }
       else scenario
     in
-    let r = Core.Runner.run scenario in
+    let r = Core.Runner.run ~traces:true scenario in
     let files = Core.Export.run_csv ~dir ~prefix r in
     Printf.printf "%s: %d files\n" prefix (List.length files);
     failures := !failures + report_validation r

@@ -13,7 +13,8 @@ let () =
     Core.Experiments.scenario_fixed ~tau:0.01 ~w1:30 ~w2:25
       Core.Experiments.Full
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~traces:true scenario in
+  let tr = Core.Runner.traces r in
   Printf.printf
     "fixed windows 30/25, tau=0.01s (P=%.3g), infinite buffers\n\n"
     (Core.Scenario.pipe scenario);
@@ -24,7 +25,7 @@ let () =
   let data_tx = Core.Scenario.data_tx scenario in
   (match
      Analysis.Ackcomp.ack_spacing
-       (Trace.Dep_log.in_window r.dep_fwd ~t0:r.t0 ~t1:r.t1)
+       (Trace.Dep_log.in_window tr.dep_fwd ~t0:r.t0 ~t1:r.t1)
        ~data_tx
    with
    | Some sp ->
@@ -48,7 +49,7 @@ let () =
     | Some (lo, hi) -> (lo, hi)
     | None -> (0., 0.)
   in
-  let q1_lo, q1_hi = peak r.q1 and q2_lo, q2_hi = peak r.q2 in
+  let q1_lo, q1_hi = peak tr.q1 and q2_lo, q2_hi = peak tr.q2 in
   Printf.printf "Q1 swings %.0f..%.0f packets; Q2 swings %.0f..%.0f\n" q1_lo
     q1_hi q2_lo q2_hi;
   Printf.printf "line utilizations: %.1f%% and %.1f%%\n\n" (100. *. r.util_fwd)
@@ -60,19 +61,19 @@ let () =
   print_endline "queue at switch 1:";
   print_string
     (Core.Ascii_plot.render ~width:76 ~height:12 ~y_max:60.
-       (Trace.Queue_trace.series r.q1)
+       (Trace.Queue_trace.series tr.q1)
        ~t0 ~t1);
   print_endline "queue at switch 2:";
   print_string
     (Core.Ascii_plot.render ~width:76 ~height:12 ~y_max:60.
-       (Trace.Queue_trace.series r.q2)
+       (Trace.Queue_trace.series tr.q2)
        ~t0 ~t1);
 
   (* The chronology of 4.2, stepped through on the departure log: runs of
      same-connection packets show the clusters that make compression
      possible in the first place. *)
   print_endline "departure clusters on the switch-1 bottleneck (last 2.5 s):";
-  let records = Trace.Dep_log.in_window r.dep_fwd ~t0 ~t1 in
+  let records = Trace.Dep_log.in_window tr.dep_fwd ~t0 ~t1 in
   let runs = Analysis.Clustering.run_lengths records in
   Printf.printf "  cluster sizes: %s\n"
     (String.concat ", " (List.map string_of_int runs));
@@ -87,8 +88,8 @@ let () =
   print_endline "the 4.2 chronology, reconstructed (one cycle):";
   let phases =
     Analysis.Chronology.phases
-      (Trace.Queue_trace.series r.q1)
-      (Trace.Queue_trace.series r.q2)
+      (Trace.Queue_trace.series tr.q1)
+      (Trace.Queue_trace.series tr.q2)
       ~t0 ~t1
   in
   Format.printf "%a" Analysis.Chronology.pp phases;

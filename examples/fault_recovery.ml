@@ -129,7 +129,7 @@ let () =
       (Analysis.Sync.phase_to_string phase)
       corr
       (100. *. r.util_fwd)
-      (List.length (Core.Runner.drops_in_window r))
+      r.tally.drops_window
   in
   describe "clean:" clean;
   describe "burst:" faulty;

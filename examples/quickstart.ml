@@ -17,7 +17,8 @@ let () =
     (1000. *. Core.Scenario.data_tx scenario);
 
   (* Build the network, attach every trace, run to completion. *)
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~traces:true scenario in
+  let tr = Core.Runner.traces r in
 
   (* Throughput and utilization over the post-warm-up window. *)
   Printf.printf "bottleneck utilization: %.1f%%\n" (100. *. r.util_fwd);
@@ -49,11 +50,11 @@ let () =
   print_endline "congestion window (packets):";
   print_string
     (Core.Ascii_plot.render ~width:76 ~height:12
-       (Trace.Cwnd_trace.cwnd r.cwnds.(0))
+       (Trace.Cwnd_trace.cwnd tr.cwnds.(0))
        ~t0:r.t0 ~t1:r.t1);
   print_newline ();
   print_endline "queue at switch 1 (packets):";
   print_string
     (Core.Ascii_plot.render ~width:76 ~height:12
-       (Trace.Queue_trace.series r.q1)
+       (Trace.Queue_trace.series tr.q1)
        ~t0:r.t0 ~t1:r.t1)

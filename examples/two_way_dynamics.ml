@@ -24,7 +24,8 @@ let describe tau =
            ])
       ~duration:600. ~warmup:200. ()
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~traces:true scenario in
+  let tr = Core.Runner.traces r in
   section
     (Printf.sprintf "tau = %g s (pipe P = %.3g packets)" tau
        (Core.Scenario.pipe scenario));
@@ -54,15 +55,15 @@ let describe tau =
   print_string
     (Core.Ascii_plot.render_pair ~width:76 ~height:14
        ~labels:("cwnd conn-1", "cwnd conn-2")
-       (Trace.Cwnd_trace.cwnd r.cwnds.(0))
-       (Trace.Cwnd_trace.cwnd r.cwnds.(1))
+       (Trace.Cwnd_trace.cwnd tr.cwnds.(0))
+       (Trace.Cwnd_trace.cwnd tr.cwnds.(1))
        ~t0:r.t0 ~t1:r.t1);
   print_newline ();
   print_endline "bottleneck queues over 30 s (ACK-compression square waves):";
   print_string
     (Core.Ascii_plot.render_pair ~width:76 ~height:14 ~labels:("Q1", "Q2")
-       (Trace.Queue_trace.series r.q1)
-       (Trace.Queue_trace.series r.q2)
+       (Trace.Queue_trace.series tr.q1)
+       (Trace.Queue_trace.series tr.q2)
        ~t0:(r.t1 -. 30.) ~t1:r.t1)
 
 let () =

@@ -13,20 +13,34 @@ let variance a =
 
 let stddev a = sqrt (variance a)
 
-let pearson xs ys =
-  let n = Array.length xs in
-  if n = 0 || n <> Array.length ys then
-    invalid_arg "Stats.pearson: length mismatch or empty";
-  let mx = mean xs and my = mean ys in
+(* [pearson_by n x y] is [pearson] of the series [x 0 .. x (n-1)] and
+   [y 0 .. y (n-1)], with the same operations in the same order (the
+   means are [mean]'s left folds). *)
+let pearson_by n x y =
+  if n <= 0 then invalid_arg "Stats.pearson: length mismatch or empty";
+  let mean_of f =
+    let s = ref 0. in
+    for i = 0 to n - 1 do
+      s := !s +. f i
+    done;
+    !s /. float_of_int n
+  in
+  let mx = mean_of x and my = mean_of y in
   let sxy = ref 0. and sxx = ref 0. and syy = ref 0. in
   for i = 0 to n - 1 do
-    let dx = xs.(i) -. mx and dy = ys.(i) -. my in
+    let dx = x i -. mx and dy = y i -. my in
     sxy := !sxy +. (dx *. dy);
     sxx := !sxx +. (dx *. dx);
     syy := !syy +. (dy *. dy)
   done;
   if !sxx <= 1e-12 || !syy <= 1e-12 then 0.
   else !sxy /. sqrt (!sxx *. !syy)
+
+let pearson xs ys =
+  let n = Array.length xs in
+  if n <> Array.length ys then
+    invalid_arg "Stats.pearson: length mismatch or empty";
+  pearson_by n (Array.get xs) (Array.get ys)
 
 let sorted_copy a =
   let b = Array.copy a in

@@ -13,6 +13,11 @@ val pearson : float array -> float array -> float
     (numerically) constant.  @raise Invalid_argument if lengths differ or
     are zero. *)
 
+val pearson_by : int -> (int -> float) -> (int -> float) -> float
+(** [pearson_by n x y] is [pearson] of [x 0 .. x (n-1)] and
+    [y 0 .. y (n-1)], bit for bit, without the arrays.
+    @raise Invalid_argument if [n <= 0]. *)
+
 val median : float array -> float
 (** @raise Invalid_argument on an empty array. *)
 

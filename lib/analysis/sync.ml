@@ -5,16 +5,19 @@ let phase_to_string = function
   | Out_of_phase -> "out-of-phase"
   | Unclassified -> "unclassified"
 
-let classify ?(threshold = 0.2) a b ~t0 ~t1 ~dt =
-  let xs = Trace.Series.resample a ~t0 ~t1 ~dt in
-  let ys = Trace.Series.resample b ~t0 ~t1 ~dt in
-  let r = Stats.pearson xs ys in
+let phase_of_corr ?(threshold = 0.2) r =
   let phase =
     if r >= threshold then In_phase
     else if r <= -.threshold then Out_of_phase
     else Unclassified
   in
   (phase, r)
+
+let classify ?threshold a b ~t0 ~t1 ~dt =
+  phase_of_corr ?threshold
+    (Stats.pearson
+       (Trace.Series.resample a ~t0 ~t1 ~dt)
+       (Trace.Series.resample b ~t0 ~t1 ~dt))
 
 let lag a b ~t0 ~t1 ~dt ~max_lag =
   if dt <= 0. then invalid_arg "Sync.lag: dt <= 0";

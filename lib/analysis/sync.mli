@@ -23,6 +23,11 @@ val classify :
   dt:float ->
   phase * float
 
+(** [phase_of_corr r] is {!classify}'s verdict on a correlation [r]
+    already computed from two series resampled on a common grid:
+    [(phase, r)]. *)
+val phase_of_corr : ?threshold:float -> float -> phase * float
+
 (** [lag a b ~t0 ~t1 ~dt ~max_lag] — the time shift of [b] (in seconds,
     multiple of [dt]) that maximizes its correlation with [a], searched
     over [\[-max_lag, +max_lag\]].  For out-of-phase oscillations the best

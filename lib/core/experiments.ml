@@ -94,9 +94,10 @@ let epoch_period epochs =
       /. float_of_int (List.length rest))
   | _ -> None
 
-let data_clustering (r : Runner.result) dep =
+let data_clustering (r : Runner.result) =
   Analysis.Clustering.coefficient
-    (Analysis.Clustering.data_only (Trace.Dep_log.in_window dep ~t0:r.t0 ~t1:r.t1))
+    (Analysis.Clustering.data_only
+       (Trace.Dep_log.in_window (Runner.traces r).dep_fwd ~t0:r.t0 ~t1:r.t1))
 
 let ack_compression (r : Runner.result) dep =
   Analysis.Ackcomp.ack_spacing
@@ -114,19 +115,20 @@ let ack_compression_both (r : Runner.result) =
     | (Some _ as x), None | None, (Some _ as x) -> x
     | None, None -> None
   in
-  pick (ack_compression r r.dep_fwd) (ack_compression r r.dep_bwd)
+  let tr = Runner.traces r in
+  pick (ack_compression r tr.dep_fwd) (ack_compression r tr.dep_bwd)
 
 (* Cluster sizes on a link counting both the data packets and the reverse
    connection's ACKs (each simplex bottleneck link carries one connection's
    data interleaved with the other's ACK clusters). *)
-let mixed_cluster_length (r : Runner.result) dep =
+let mixed_cluster_length (r : Runner.result) =
   Option.value ~default:0.
     (Analysis.Clustering.mean_run_length
-       (Trace.Dep_log.in_window dep ~t0:r.t0 ~t1:r.t1))
+       (Trace.Dep_log.in_window (Runner.traces r).dep_fwd ~t0:r.t0 ~t1:r.t1))
 
-let fluctuation (r : Runner.result) qt =
+let fluctuation (r : Runner.result) =
   Analysis.Ackcomp.fluctuation_rate
-    (Trace.Queue_trace.series qt)
+    (Trace.Queue_trace.series (Runner.traces r).q1)
     ~t0:r.t0 ~t1:r.t1 ~window:(2. *. data_tx) ~threshold:4.
 
 let queue_peak_in_window (r : Runner.result) qt =
@@ -141,8 +143,9 @@ let queue_peak_in_window (r : Runner.result) qt =
 (* ------------------------------------------------------------------ *)
 
 let fig2 ?(speed = Full) () =
-  let r = Runner.run (scenario_fig2 speed) in
-  let r_small = Runner.run (scenario_oneway_small_pipe speed) in
+  let r = Runner.run ~traces:true (scenario_fig2 speed) in
+  let tr = Runner.traces r in
+  let r_small = Runner.run ~traces:true (scenario_oneway_small_pipe speed) in
   let epochs = Runner.epochs r in
   let cwnd_phase_01, _ = Runner.cwnd_phase r 0 1 in
   let cwnd_phase_02, _ = Runner.cwnd_phase r 0 2 in
@@ -178,12 +181,12 @@ let fig2 ?(speed = Full) () =
         ~value:
           (Option.value ~default:0.
              (Analysis.Period.estimate
-                (Trace.Queue_trace.series r.q1)
+                (Trace.Queue_trace.series tr.q1)
                 ~t0:r.t0 ~t1:r.t1 ~dt:0.5 ~max_period:100.))
         ~lo:15. ~hi:60.;
       Report.in_band ~metric:"data clustering coefficient"
         ~paper:"complete clustering (1.0 vs 0.33 interleaved)"
-        ~value:(Option.value ~default:0. (data_clustering r r.dep_fwd))
+        ~value:(Option.value ~default:0. (data_clustering r))
         ~lo:0.85 ~hi:1.0;
       Report.info ~metric:"congestion epochs observed"
         ~paper:"oscillatory cycle"
@@ -197,8 +200,9 @@ let fig2 ?(speed = Full) () =
 (* ------------------------------------------------------------------ *)
 
 let fig3 ?(speed = Full) () =
-  let r = Runner.run (scenario_fig3 speed) in
-  let r60 = Runner.run (scenario_fig3 ~buffer:60 speed) in
+  let r = Runner.run ~traces:true (scenario_fig3 speed) in
+  let tr = Runner.traces r in
+  let r60 = Runner.run ~traces:true (scenario_fig3 ~buffer:60 speed) in
   let epochs = Runner.epochs ~gap:2. r in
   let drops = Runner.drops_in_window r in
   let data_frac =
@@ -236,14 +240,14 @@ let fig3 ?(speed = Full) () =
         ~lo:4. ~hi:22.;
       Report.in_band ~metric:"rapid queue fluctuations (events/s)"
         ~paper:"fluctuations of ~5 pkts within a packet time"
-        ~value:(fluctuation r r.q1) ~lo:0.3 ~hi:50.;
+        ~value:(fluctuation r) ~lo:0.3 ~hi:50.;
       Report.info ~metric:"mean data cluster length"
         ~paper:"partial clustering"
         ~measured:
           (opt_f
              (Analysis.Clustering.mean_run_length
                 (Analysis.Clustering.data_only
-                   (Trace.Dep_log.in_window r.dep_fwd ~t0:r.t0 ~t1:r.t1))));
+                   (Trace.Dep_log.in_window tr.dep_fwd ~t0:r.t0 ~t1:r.t1))));
       Report.info ~metric:"throughput fairness (Jain index)"
         ~paper:"n/a (5 cites testbed unfairness)"
         ~measured:
@@ -270,9 +274,10 @@ let scenario_fig45_scaled ~buffer speed =
     ~duration:(duration *. scale) ~warmup:(warmup *. scale) ()
 
 let fig45 ?(speed = Full) () =
-  let r = Runner.run (scenario_fig45 speed) in
-  let r60 = Runner.run (scenario_fig45_scaled ~buffer:60 speed) in
-  let r120 = Runner.run (scenario_fig45_scaled ~buffer:120 speed) in
+  let r = Runner.run ~traces:true (scenario_fig45 speed) in
+  let tr = Runner.traces r in
+  let r60 = Runner.run ~traces:true (scenario_fig45_scaled ~buffer:60 speed) in
+  let r120 = Runner.run ~traces:true (scenario_fig45_scaled ~buffer:120 speed) in
   let epochs = Runner.epochs r in
   let qphase, qcorr = Runner.queue_phase r in
   let cphase, ccorr = Runner.cwnd_phase r 0 1 in
@@ -317,16 +322,16 @@ let fig45 ?(speed = Full) () =
         ~lo:0.05 ~hi:1.0;
       Report.in_band ~metric:"rapid queue fluctuations (events/s)"
         ~paper:"square-wave oscillations"
-        ~value:(fluctuation r r.q1) ~lo:0.2 ~hi:50.;
+        ~value:(fluctuation r) ~lo:0.2 ~hi:50.;
       (let period =
          Analysis.Period.estimate
-           (Trace.Queue_trace.series r.q1)
+           (Trace.Queue_trace.series tr.q1)
            ~t0:r.t0 ~t1:r.t1 ~dt:0.5 ~max_period:60.
        in
        let lag =
          Analysis.Sync.lag
-           (Trace.Queue_trace.series r.q1)
-           (Trace.Queue_trace.series r.q2)
+           (Trace.Queue_trace.series tr.q1)
+           (Trace.Queue_trace.series tr.q2)
            ~t0:r.t0 ~t1:r.t1 ~dt:0.5 ~max_lag:40.
        in
        match (period, lag) with
@@ -342,7 +347,7 @@ let fig45 ?(speed = Full) () =
          List.length
            (List.filter
               (fun (d : Trace.Drop_log.record) -> d.kind = Net.Packet.Ack)
-              (Trace.Drop_log.records r.drops))
+              (Trace.Drop_log.records tr.drops))
        in
        Report.expect ~metric:"ACK packets dropped"
          ~paper:"never (an ACK always follows a departure, 4.2)"
@@ -359,8 +364,8 @@ let fig45 ?(speed = Full) () =
        Report.expect ~metric:"ssthresh floored at 2 after the double loss"
          ~paper:"the second loss finds cwnd still 1 (footnote 9)"
          ~measured:
-           (fmt "conn1 %b, conn2 %b" (floored r.cwnds.(0)) (floored r.cwnds.(1)))
-         (floored r.cwnds.(0) && floored r.cwnds.(1)));
+           (fmt "conn1 %b, conn2 %b" (floored tr.cwnds.(0)) (floored tr.cwnds.(1)))
+         (floored tr.cwnds.(0) && floored tr.cwnds.(1)));
     ]
   in
   {
@@ -374,7 +379,7 @@ let fig45 ?(speed = Full) () =
 (* ------------------------------------------------------------------ *)
 
 let fig67 ?(speed = Full) () =
-  let r = Runner.run (scenario_fig67 speed) in
+  let r = Runner.run ~traces:true (scenario_fig67 speed) in
   let epochs = Runner.epochs r in
   let qphase, qcorr = Runner.queue_phase r in
   let cphase, ccorr = Runner.cwnd_phase r 0 1 in
@@ -418,10 +423,11 @@ let fig67 ?(speed = Full) () =
 (* ------------------------------------------------------------------ *)
 
 let fig8 ?(speed = Full) () =
-  let r = Runner.run (scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 speed) in
-  let q1_max = queue_peak_in_window r r.q1 in
-  let q2_max = queue_peak_in_window r r.q2 in
-  let compression = ack_compression r r.dep_fwd in
+  let r = Runner.run ~traces:true (scenario_fixed ~tau:0.01 ~w1:30 ~w2:25 speed) in
+  let tr = Runner.traces r in
+  let q1_max = queue_peak_in_window r tr.q1 in
+  let q2_max = queue_peak_in_window r tr.q2 in
+  let compression = ack_compression r tr.dep_fwd in
   let checks =
     [
       Report.in_band ~metric:"Q1 maximum (packets)" ~paper:"55 (= w1 + w2)"
@@ -443,7 +449,7 @@ let fig8 ?(speed = Full) () =
         ~lo:0.05 ~hi:0.3;
       (let slopes =
          Analysis.Ackcomp.edge_slopes
-           (Trace.Queue_trace.series r.q1)
+           (Trace.Queue_trace.series tr.q1)
            ~t0:r.t0 ~t1:r.t1 ~min_rise:8.
        in
        Report.in_band ~metric:"square-wave rising edge (pkts/s)"
@@ -452,7 +458,7 @@ let fig8 ?(speed = Full) () =
          ~lo:90. ~hi:170.);
       (let slopes =
          Analysis.Ackcomp.edge_slopes
-           (Trace.Queue_trace.series r.q1)
+           (Trace.Queue_trace.series tr.q1)
            ~t0:r.t0 ~t1:r.t1 ~min_rise:8.
        in
        Report.in_band ~metric:"square-wave falling edge (pkts/s)"
@@ -461,8 +467,8 @@ let fig8 ?(speed = Full) () =
          ~lo:(-170.) ~hi:(-90.));
       (let phases =
          Analysis.Chronology.phases
-           (Trace.Queue_trace.series r.q1)
-           (Trace.Queue_trace.series r.q2)
+           (Trace.Queue_trace.series tr.q1)
+           (Trace.Queue_trace.series tr.q2)
            ~t0:r.t0 ~t1:r.t1
        in
        Report.in_band ~metric:"chronology: queues move in opposition"
@@ -470,8 +476,8 @@ let fig8 ?(speed = Full) () =
          ~value:(Option.value ~default:0. (Analysis.Chronology.opposition phases))
          ~lo:0.95 ~hi:1.0);
       Report.expect ~metric:"packet drops" ~paper:"none (infinite buffers)"
-        ~measured:(string_of_int (Trace.Drop_log.total r.drops))
-        (Trace.Drop_log.total r.drops = 0);
+        ~measured:(string_of_int (Trace.Drop_log.total tr.drops))
+        (Trace.Drop_log.total tr.drops = 0);
     ]
   in
   {
@@ -481,9 +487,10 @@ let fig8 ?(speed = Full) () =
   }
 
 let fig9 ?(speed = Full) () =
-  let r = Runner.run (scenario_fixed ~tau:1.0 ~w1:30 ~w2:25 speed) in
-  let q1_max = queue_peak_in_window r r.q1 in
-  let q2_max = queue_peak_in_window r r.q2 in
+  let r = Runner.run ~traces:true (scenario_fixed ~tau:1.0 ~w1:30 ~w2:25 speed) in
+  let tr = Runner.traces r in
+  let q1_max = queue_peak_in_window r tr.q1 in
+  let q2_max = queue_peak_in_window r tr.q2 in
   let checks =
     [
       Report.in_band ~metric:"Q1 maximum (packets)" ~paper:"~23" ~value:q1_max
@@ -502,8 +509,8 @@ let fig9 ?(speed = Full) () =
         ~measured:(fmt "%s / %s" (pct r.util_fwd) (pct r.util_bwd))
         (r.util_fwd < 0.95 && r.util_bwd < 0.95);
       Report.expect ~metric:"packet drops" ~paper:"none (infinite buffers)"
-        ~measured:(string_of_int (Trace.Drop_log.total r.drops))
-        (Trace.Drop_log.total r.drops = 0);
+        ~measured:(string_of_int (Trace.Drop_log.total tr.drops))
+        (Trace.Drop_log.total tr.drops = 0);
     ]
   in
   {
@@ -646,7 +653,7 @@ let buffer_table ?(speed = Full) () =
 let delack_table ?(speed = Full) () =
   let duration, warmup = horizon speed in
   let run ~delayed_ack ~maxwnd =
-    Runner.run
+    Runner.run ~traces:true
       (Scenario.make ~name:"delack" ~tau:0.01 ~buffer:(Some 20)
          ~conns:
            (Scenario.stagger ~step:1.0
@@ -656,7 +663,7 @@ let delack_table ?(speed = Full) () =
               ])
          ~duration ~warmup ())
   in
-  let cluster r = mixed_cluster_length r r.Runner.dep_fwd in
+  let cluster = mixed_cluster_length in
   let compressed r =
     match ack_compression_both r with
     | Some c -> c.Analysis.Ackcomp.compressed_fraction
@@ -729,10 +736,11 @@ let scenario_multihop speed =
   scenario_chain ~duration ~warmup ()
 
 let multihop_table ?(speed = Full) () =
-  let r = Runner.run (scenario_multihop speed) in
-  let mid = Array.length r.trunk_queues / 2 in
-  let q_fwd, _ = r.trunk_queues.(mid) in
-  let dep_fwd, _ = r.trunk_deps.(mid) in
+  let r = Runner.run ~traces:true (scenario_multihop speed) in
+  let tr = Runner.traces r in
+  let mid = Array.length tr.trunk_queues / 2 in
+  let q_fwd, _ = tr.trunk_queues.(mid) in
+  let dep_fwd, _ = tr.trunk_deps.(mid) in
   let fluct =
     Analysis.Ackcomp.fluctuation_rate
       (Trace.Queue_trace.series q_fwd)
@@ -771,7 +779,7 @@ let multihop_table ?(speed = Full) () =
           (List.exists (fun u -> u < 0.95) utils);
         Report.info ~metric:"total drops"
           ~paper:"loss-driven oscillation"
-          ~measured:(string_of_int (Trace.Drop_log.total r.drops));
+          ~measured:(string_of_int (Trace.Drop_log.total tr.drops));
       ];
   }
 
@@ -783,7 +791,7 @@ let ablation_table ?(speed = Full) () =
   let duration, warmup = horizon speed in
   (* (a) modified vs unmodified congestion-avoidance increment. *)
   let run_ca modified_ca =
-    Runner.run
+    Runner.run ~traces:true
       (Scenario.make ~name:"abl-ca" ~tau:1.0 ~buffer:(Some 20)
          ~conns:
            (Scenario.stagger ~step:1.0
@@ -798,7 +806,7 @@ let ablation_table ?(speed = Full) () =
      the fig-4 configuration: the synchronization mode must not depend on
      timer quantization. *)
   let run_grain rto_params =
-    Runner.run
+    Runner.run ~traces:true
       (Scenario.make ~name:"abl-grain" ~tau:0.01 ~buffer:(Some 20)
          ~conns:
            (Scenario.stagger ~step:1.0
@@ -858,8 +866,8 @@ let two_way_scenario ?algorithm ?cc
 
 let reno_table ?(speed = Full) () =
   let reno = Tcp.Cong.Reno { modified_ca = true } in
-  let small = Runner.run (two_way_scenario ~algorithm:reno ~tau:0.01 speed) in
-  let large = Runner.run (two_way_scenario ~algorithm:reno ~tau:1.0 speed) in
+  let small = Runner.run ~traces:true (two_way_scenario ~algorithm:reno ~tau:0.01 speed) in
+  let large = Runner.run ~traces:true (two_way_scenario ~algorithm:reno ~tau:1.0 speed) in
   let q_small, r_small = Runner.queue_phase small in
   let q_large, r_large = Runner.queue_phase large in
   {
@@ -876,7 +884,7 @@ let reno_table ?(speed = Full) () =
           ~measured:(fmt "%s (r=%.2f)" (Analysis.Sync.phase_to_string q_large) r_large)
           (q_large = Analysis.Sync.In_phase);
         Report.in_band ~metric:"rapid queue fluctuations (events/s)"
-          ~paper:"ACK-compression persists" ~value:(fluctuation small small.q1)
+          ~paper:"ACK-compression persists" ~value:(fluctuation small)
           ~lo:0.2 ~hi:50.;
         Report.expect ~metric:"two-way utilization penalty"
           ~paper:"persists (idle time despite large windows)"
@@ -900,7 +908,7 @@ let cczoo_table ?(speed = Full) () =
      configuration (fig-4 shape): the paper's phenomena should not be
      Tahoe-specific.  The oracle rides along as the loss-blind
      calibration point. *)
-  let run cc = Runner.run (two_way_scenario ~cc ~tau:0.01 speed) in
+  let run cc = Runner.run ~traces:true (two_way_scenario ~cc ~tau:0.01 speed) in
   let rows =
     List.map
       (fun name ->
@@ -947,7 +955,7 @@ let cczoo_table ?(speed = Full) () =
         Report.info
           ~metric:(fmt "%s: rapid queue fluctuations (events/s)" name)
           ~paper:"ACK-compression signature"
-          ~measured:(fmt "%.2f" (fluctuation r r.Runner.q1)))
+          ~measured:(fmt "%.2f" (fluctuation r)))
       rows
   in
   let oracle =
@@ -971,12 +979,12 @@ let cczoo_table ?(speed = Full) () =
 
 let pacing_table ?(speed = Full) () =
   (* Pace at exactly the bottleneck data rate: one packet per 80 ms. *)
-  let nonpaced = Runner.run (two_way_scenario ~tau:0.01 speed) in
+  let nonpaced = Runner.run ~traces:true (two_way_scenario ~tau:0.01 speed) in
   let paced =
-    Runner.run (two_way_scenario ~pacing:(Some data_tx) ~tau:0.01 speed)
+    Runner.run ~traces:true (two_way_scenario ~pacing:(Some data_tx) ~tau:0.01 speed)
   in
-  let cluster r = mixed_cluster_length r r.Runner.dep_fwd in
-  let fluct r = fluctuation r r.Runner.q1 in
+  let cluster = mixed_cluster_length in
+  let fluct = fluctuation in
   let util r = Float.max r.Runner.util_fwd r.Runner.util_bwd in
   {
     Report.id = "TAB-PACE";
@@ -1007,7 +1015,7 @@ let pacing_table ?(speed = Full) () =
 
 let gateway_table ?(speed = Full) () =
   let run gateway =
-    Runner.run (two_way_scenario ~gateway ~per_dir:5 ~buffer:30 ~tau:0.01 speed)
+    Runner.run ~traces:true (two_way_scenario ~gateway ~per_dir:5 ~buffer:30 ~tau:0.01 speed)
   in
   let fifo = run Net.Discipline.Fifo in
   let rd = run (Net.Discipline.Random_drop { seed = 11 }) in
@@ -1027,11 +1035,11 @@ let gateway_table ?(speed = Full) () =
           ~paper:"out-of-phase, rapid fluctuations"
           ~measured:(show fifo)
           (phase fifo = Analysis.Sync.Out_of_phase
-          && fluctuation fifo fifo.q1 > 0.2);
+          && fluctuation fifo > 0.2);
         Report.expect ~metric:"Random Drop"
           ~paper:"same phenomena (clustering is unaffected)"
           ~measured:(show rd)
-          (phase rd = Analysis.Sync.Out_of_phase && fluctuation rd rd.q1 > 0.2);
+          (phase rd = Analysis.Sync.Out_of_phase && fluctuation rd > 0.2);
         Report.expect ~metric:"Fair Queueing"
           ~paper:"phenomena persist; allocation at least as fair"
           ~measured:(show fq)
@@ -1061,7 +1069,7 @@ let collapse_table ?(speed = Full) () =
      control. *)
   let run algorithm loss_detection =
     let cc = Tcp.Cc.spec_of_algorithm algorithm in
-    Runner.run
+    Runner.run ~traces:true
       (Scenario.make ~name:"collapse" ~tau:1.0 ~buffer:(Some 20)
          ~conns:
            (Scenario.stagger ~step:1.0
@@ -1131,7 +1139,7 @@ let rtt_table ?(speed = Full) () =
      of extra access latency each way. *)
   let run skew =
     let r =
-      Runner.run
+      Runner.run ~traces:true
         (Scenario.make ~name:"rtt-skew" ~tau:1.0 ~buffer:(Some 20)
            ~conns:
              (Scenario.stagger ~step:1.0
@@ -1141,7 +1149,7 @@ let rtt_table ?(speed = Full) () =
                 ])
            ~duration ~warmup ())
     in
-    Option.value ~default:0. (data_clustering r r.dep_fwd)
+    Option.value ~default:0. (data_clustering r)
   in
   let equal_rtt = run 0.0 in
   let sub_packet = run (data_tx /. 2.) in
@@ -1190,14 +1198,14 @@ let formula_table ?(speed = Full) () =
           ]
         ~duration ~warmup ()
     in
-    (Runner.run scenario, Scenario.pipe scenario)
+    (Runner.run ~traces:true scenario, Scenario.pipe scenario)
   in
   let q_check ~w1 ~w2 ~tau =
     let r, pipe = run ~w1 ~w2 ~tau in
     let expected = Float.max 0. (float_of_int (w1 + w2) -. (2. *. pipe)) in
     let measured =
       Option.value ~default:(0., 0.)
-        (Trace.Series.min_max (Trace.Queue_trace.series r.q1) ~t0:r.t0 ~t1:r.t1)
+        (Trace.Series.min_max (Trace.Queue_trace.series (Runner.traces r).q1) ~t0:r.t0 ~t1:r.t1)
     in
     Report.expect
       ~metric:(fmt "queue length, w=(%d,%d) tau=%gs" w1 w2 tau)
@@ -1222,14 +1230,14 @@ let formula_table ?(speed = Full) () =
     (* The adaptive case: windows grow until sum(wnd) = C = B + 2P, then
        each connection's +1 overshoot is dropped, so the peak total window
        is C + nconns. *)
-    let r = Runner.run (scenario_fig2 speed) in
+    let r = Runner.run ~traces:true (scenario_fig2 speed) in
     let dt = 0.25 in
     let arrays =
       Array.map
         (fun trace ->
           Trace.Series.resample (Trace.Cwnd_trace.cwnd trace) ~t0:r.t0 ~t1:r.t1
             ~dt)
-        r.cwnds
+        (Runner.traces r).cwnds
     in
     let n = Array.length arrays.(0) in
     let peak = ref 0. in

@@ -37,6 +37,7 @@ let ensure_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 let run_csv ~dir ~prefix (r : Runner.result) =
+  let tr = Runner.traces r in
   ensure_dir dir;
   let files = ref [] in
   let emit name write =
@@ -46,16 +47,16 @@ let run_csv ~dir ~prefix (r : Runner.result) =
   in
   emit "q1.csv" (fun path ->
       series_csv ~path ~header:("time", "queue_len")
-        (Trace.Queue_trace.series r.q1));
+        (Trace.Queue_trace.series tr.q1));
   emit "q2.csv" (fun path ->
       series_csv ~path ~header:("time", "queue_len")
-        (Trace.Queue_trace.series r.q2));
+        (Trace.Queue_trace.series tr.q2));
   Array.iteri
     (fun i trace ->
       emit
         (Printf.sprintf "cwnd%d.csv" (i + 1))
         (fun path ->
           series_csv ~path ~header:("time", "cwnd") (Trace.Cwnd_trace.cwnd trace)))
-    r.cwnds;
-  emit "drops.csv" (fun path -> drops_csv ~path r.drops);
+    tr.cwnds;
+  emit "drops.csv" (fun path -> drops_csv ~path tr.drops);
   List.rev !files

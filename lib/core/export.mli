@@ -13,5 +13,5 @@ val drops_csv : path:string -> Trace.Drop_log.t -> unit
 (** Dump the standard artifacts of a run under [dir] with a [prefix]:
     [<prefix>-q1.csv], [<prefix>-q2.csv], [<prefix>-cwnd<i>.csv],
     [<prefix>-drops.csv].  Creates [dir] if missing.  Returns the file
-    names written. *)
+    names written.  The run must have been made with [~traces:true]. *)
 val run_csv : dir:string -> prefix:string -> Runner.result -> string list

@@ -8,26 +8,29 @@ let no_budget = { max_events = None; max_wall = None }
 
 let budget ?max_events ?max_wall () = { max_events; max_wall }
 
-type result = {
-  scenario : Scenario.t;
-  dumbbell : Net.Topology.dumbbell;
-  conns : (Scenario.conn_spec * Tcp.Connection.t) array;
+type traces = {
   trunk_queues : (Trace.Queue_trace.t * Trace.Queue_trace.t) array;
   trunk_deps : (Trace.Dep_log.t * Trace.Dep_log.t) array;
-  trunk_utils : (float * float) array;
   q1 : Trace.Queue_trace.t;
   q2 : Trace.Queue_trace.t;
   cwnds : Trace.Cwnd_trace.t array;
   drops : Trace.Drop_log.t;
   dep_fwd : Trace.Dep_log.t;
   dep_bwd : Trace.Dep_log.t;
-  soj_fwd : Trace.Sojourn_trace.t;
-  soj_bwd : Trace.Sojourn_trace.t;
+}
+
+type result = {
+  scenario : Scenario.t;
+  dumbbell : Net.Topology.dumbbell;
+  conns : (Scenario.conn_spec * Tcp.Connection.t) array;
+  trunk_utils : (float * float) array;
   util_fwd : float;
   util_bwd : float;
   t0 : float;
   t1 : float;
   delivered : int array;
+  tally : Trace.Tally.summary;
+  recorded : traces option;
   validation : Validate.Harness.t option;
   fault_plans : (Scenario.fault_site * Faults.Plan.t) list;
   obs : Obs.Probe.t option;
@@ -62,8 +65,26 @@ let connection_config (c : Net.Topology.chain) ~conn_id
     ~rto_params:spec.rto_params ~pacing:spec.pacing ~rtt_skew:spec.rtt_skew
     ~flow_size:spec.flow_size ()
 
+let attach_traces (chain : Net.Topology.chain) conns ~now =
+  (* Per-trunk recorders, each attached once; trunk 0 is the dumbbell
+     bottleneck and also backs the [q1]/[q2]/[dep_*] fields. *)
+  let trunk_queues =
+    Array.map (both (fun l -> Trace.Queue_trace.attach l ~now)) chain.trunks
+  in
+  let cwnds =
+    Array.map
+      (fun (_spec, c) -> Trace.Cwnd_trace.attach (Tcp.Connection.sender c) ~now)
+      conns
+  in
+  let drops = Trace.Drop_log.create () in
+  List.iter (Trace.Drop_log.watch drops) (Net.Network.links chain.cnet);
+  let trunk_deps = Array.map (both Trace.Dep_log.attach) chain.trunks in
+  let q1, q2 = trunk_queues.(0) in
+  let dep_fwd, dep_bwd = trunk_deps.(0) in
+  { trunk_queues; trunk_deps; q1; q2; cwnds; drops; dep_fwd; dep_bwd }
+
 let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
-    (scenario : Scenario.t) =
+    ?(traces = false) (scenario : Scenario.t) =
   let sim = Engine.Sim.create () in
   let params = Net.Topology.params ~gateway:scenario.gateway ~tau:scenario.tau
       ~buffer:scenario.buffer () in
@@ -118,22 +139,16 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
     end
     else None
   in
-  let now = Engine.Sim.now sim in
-  (* Per-trunk recorders, each attached once; trunk 0 is the dumbbell
-     bottleneck and also backs the [q1]/[q2]/[dep_*]/[util_*] fields. *)
-  let trunk_queues =
-    Array.map (both (fun l -> Trace.Queue_trace.attach l ~now)) chain.trunks
+  let tally =
+    Trace.Tally.attach
+      ~links:(Net.Network.links dumbbell.net)
+      ~fwd:dumbbell.fwd ~bwd:dumbbell.bwd ~t0:scenario.warmup
+      ~horizon:scenario.duration ~dt:scenario.sample_dt
   in
-  let cwnds =
-    Array.map
-      (fun (_spec, c) -> Trace.Cwnd_trace.attach (Tcp.Connection.sender c) ~now)
-      conns
+  let recorded =
+    if traces then Some (attach_traces chain conns ~now:(Engine.Sim.now sim))
+    else None
   in
-  let drops = Trace.Drop_log.create () in
-  List.iter (Trace.Drop_log.watch drops) (Net.Network.links dumbbell.net);
-  let trunk_deps = Array.map (both Trace.Dep_log.attach) chain.trunks in
-  let soj_fwd = Trace.Sojourn_trace.attach dumbbell.fwd in
-  let soj_bwd = Trace.Sojourn_trace.attach dumbbell.bwd in
   (* Metering starts at the end of warm-up. *)
   let meters = ref None in
   let delivered_at_warmup = Array.make (Array.length conns) 0 in
@@ -251,9 +266,10 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
       if stopped_early then Array.map (both (fun _ -> 0.)) chain.trunks
       else failwith "Runner: warmup event never fired"
   in
-  let q1, q2 = trunk_queues.(0) in
-  let dep_fwd, dep_bwd = trunk_deps.(0) in
   let util_fwd, util_bwd = trunk_utils.(0) in
+  let t1 =
+    if stopped_early then Float.max scenario.warmup now else scenario.duration
+  in
   let delivered =
     match !meters with
     | None -> Array.make (Array.length conns) 0
@@ -267,24 +283,14 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
     scenario;
     dumbbell;
     conns;
-    trunk_queues;
-    trunk_deps;
     trunk_utils;
-    q1;
-    q2;
-    cwnds;
-    drops;
-    dep_fwd;
-    dep_bwd;
-    soj_fwd;
-    soj_bwd;
     util_fwd;
     util_bwd;
     t0 = scenario.warmup;
-    t1 =
-      (if stopped_early then Float.max scenario.warmup now
-       else scenario.duration);
+    t1;
     delivered;
+    tally = Trace.Tally.finish tally ~t1;
+    recorded;
     validation;
     fault_plans;
     obs;
@@ -294,6 +300,11 @@ let run ?(obs = Obs.Probe.disabled) ?(budget = no_budget) ?stop ?bundle_dir
 
 let validation_report r =
   Option.map (fun h -> Validate.Harness.report h) r.validation
+
+let traces r =
+  match r.recorded with
+  | Some traces -> traces
+  | None -> invalid_arg "Runner.traces: the run was made without ~traces:true"
 
 (* A run stopped before warm-up has an empty window ([t1 = t0]): nothing
    was measured, so rates are zero and phases unclassified. *)
@@ -311,30 +322,31 @@ let goodput_dir r dir =
     r.conns;
   !total
 
-let drops_in_window r = Trace.Drop_log.in_window r.drops ~t0:r.t0 ~t1:r.t1
+let drops_in_window r =
+  Trace.Drop_log.in_window (traces r).drops ~t0:r.t0 ~t1:r.t1
 
-let epochs ?(gap = 5.) r = Analysis.Epochs.detect ~gap (drops_in_window r)
+let epochs ?(gap = Trace.Tally.epoch_gap) r =
+  Analysis.Epochs.detect ~gap (drops_in_window r)
 
-let classify r a b =
-  if empty_window r then (Analysis.Sync.Unclassified, Float.nan)
-  else Analysis.Sync.classify a b ~t0:r.t0 ~t1:r.t1 ~dt:r.scenario.sample_dt
+let unclassified = (Analysis.Sync.Unclassified, Float.nan)
 
 let queue_phase r =
-  classify r (Trace.Queue_trace.series r.q1) (Trace.Queue_trace.series r.q2)
+  if empty_window r then unclassified
+  else
+    let q1 = r.tally.q1_grid and q2 = r.tally.q2_grid in
+    Analysis.Sync.phase_of_corr
+      (Analysis.Stats.pearson_by (Trace.Tally.grid_length q1)
+         (Trace.Tally.grid_get q1) (Trace.Tally.grid_get q2))
 
 let cwnd_phase r i j =
-  classify r
-    (Trace.Cwnd_trace.cwnd r.cwnds.(i))
-    (Trace.Cwnd_trace.cwnd r.cwnds.(j))
+  let cwnds = (traces r).cwnds in
+  if empty_window r then unclassified
+  else
+    Analysis.Sync.classify
+      (Trace.Cwnd_trace.cwnd cwnds.(i))
+      (Trace.Cwnd_trace.cwnd cwnds.(j))
+      ~t0:r.t0 ~t1:r.t1 ~dt:r.scenario.sample_dt
 
 let effective_pipe r =
-  let data_tx = Scenario.data_tx r.scenario in
-  let pipe trace =
-    Trace.Sojourn_trace.effective_pipe_packets trace ~data_tx ~t0:r.t0 ~t1:r.t1
-  in
   if empty_window r then None
-  else
-  match (pipe r.soj_fwd, pipe r.soj_bwd) with
-  | Some a, Some b -> Some (Float.max a b)
-  | (Some _ as x), None | None, (Some _ as x) -> x
-  | None, None -> None
+  else Trace.Tally.effective_pipe r.tally ~data_tx:(Scenario.data_tx r.scenario)

@@ -12,18 +12,13 @@ val no_budget : budget
 
 val budget : ?max_events:int -> ?max_wall:float -> unit -> budget
 
-type result = {
-  scenario : Scenario.t;
-  dumbbell : Net.Topology.dumbbell;
-  conns : (Scenario.conn_spec * Tcp.Connection.t) array;
-      (** in scenario order; connection ids are 1-based indices *)
+(** The full recorders, attached only by [run ~traces:true]: their
+    memory grows with the event count. *)
+type traces = {
   trunk_queues : (Trace.Queue_trace.t * Trace.Queue_trace.t) array;
       (** per trunk, in chain order: (right-going, left-going) queue *)
   trunk_deps : (Trace.Dep_log.t * Trace.Dep_log.t) array;
       (** per trunk: departures (right-going, left-going) *)
-  trunk_utils : (float * float) array;
-      (** per trunk: utilization (right-going, left-going) over the
-          window *)
   q1 : Trace.Queue_trace.t;
       (** bottleneck queue at Switch-1 (fwd direction); trunk 0's *)
   q2 : Trace.Queue_trace.t;  (** bottleneck queue at Switch-2 (rev direction) *)
@@ -31,14 +26,24 @@ type result = {
   drops : Trace.Drop_log.t;  (** drops anywhere in the network *)
   dep_fwd : Trace.Dep_log.t;  (** departures from the fwd bottleneck (trunk 0) *)
   dep_bwd : Trace.Dep_log.t;
-  soj_fwd : Trace.Sojourn_trace.t;
-      (** per-packet queueing delay, fwd (trunk 0 only) *)
-  soj_bwd : Trace.Sojourn_trace.t;
+}
+
+type result = {
+  scenario : Scenario.t;
+  dumbbell : Net.Topology.dumbbell;
+  conns : (Scenario.conn_spec * Tcp.Connection.t) array;
+      (** in scenario order; connection ids are 1-based indices *)
+  trunk_utils : (float * float) array;
+      (** per trunk: utilization (right-going, left-going) over the
+          window *)
   util_fwd : float;  (** fwd bottleneck utilization over the window (trunk 0) *)
   util_bwd : float;
   t0 : float;  (** measurement window start (= warmup) *)
   t1 : float;  (** measurement window end (= duration) *)
   delivered : int array;  (** packets acked per connection within the window *)
+  tally : Trace.Tally.summary;
+      (** the always-on streaming statistics of [\[t0, t1)] *)
+  recorded : traces option;  (** [Some] iff [run ~traces:true]; see {!traces} *)
   validation : Validate.Harness.t option;
       (** the invariant-checking harness, when the scenario (or the
           [NETSIM_VALIDATE] environment variable) enabled validation *)
@@ -82,14 +87,25 @@ type result = {
     replayable bundle is written to [bundle_dir/<scenario-name>] (see
     {!Crash}) and its path returned in [result.bundle].  Bundle writes
     are best-effort — a failed write warns on stderr and never masks
-    the original failure. *)
+    the original failure.
+
+    Every run streams its summary statistics into a {!Trace.Tally}, in
+    memory independent of the horizon.  [traces] (default [false])
+    additionally attaches the full recorders ({!traces}), whose memory
+    grows with the event count: plots, CSV dumps and the experiments
+    that read whole series ask for them. *)
 val run :
   ?obs:Obs.Probe.setup ->
   ?budget:budget ->
   ?stop:(unit -> bool) ->
   ?bundle_dir:string ->
+  ?traces:bool ->
   Scenario.t ->
   result
+
+(** The full recorders of a [run ~traces:true].
+    @raise Invalid_argument if the run was made without [~traces:true]. *)
+val traces : result -> traces
 
 (** The finalized validation report, if validation was enabled. *)
 val validation_report : result -> Validate.Report.t option
@@ -101,18 +117,23 @@ val goodput : result -> int -> float
 (** Aggregate goodput (packets/s) of connections sending in [dir]. *)
 val goodput_dir : result -> Scenario.direction -> float
 
-(** Drops within the measurement window, chronological. *)
+(** Drops within the measurement window, chronological.
+    Needs [~traces:true] (see {!traces}); the count alone is
+    [r.tally.drops_window]. *)
 val drops_in_window : result -> Trace.Drop_log.record list
 
-(** Congestion epochs within the window (gap defaults to 5 s). *)
+(** Congestion epochs within the window (gap defaults to
+    {!Trace.Tally.epoch_gap}, 5 s).  Needs [~traces:true]; the counts
+    alone are in [r.tally]. *)
 val epochs : ?gap:float -> result -> Analysis.Epochs.t list
 
-(** Phase classification of the two bottleneck queue series;
-    [(Unclassified, nan)] for an empty window. *)
+(** Phase classification of the two bottleneck queue series (from the
+    tally's resampled grids); [(Unclassified, nan)] for an empty
+    window. *)
 val queue_phase : result -> Analysis.Sync.phase * float
 
 (** Phase classification of two connections' cwnd series;
-    [(Unclassified, nan)] for an empty window. *)
+    [(Unclassified, nan)] for an empty window.  Needs [~traces:true]. *)
 val cwnd_phase : result -> int -> int -> Analysis.Sync.phase * float
 
 (** Mean ACK queueing delay over the window, expressed in data-packet

@@ -151,29 +151,34 @@ let fire_fault t event p =
 
 (* Hook arguments (the current time, the post-event queue length) are
    only computed when somebody is listening: the no-observer run pays
-   nothing beyond the empty-list check. *)
+   nothing beyond the empty-list check.  The loops are spelled out so a
+   firing allocates no [List.iter] closure, only the boxed time. *)
+let rec call3 now p qlen = function
+  | [] -> ()
+  | f :: rest ->
+    f now p qlen;
+    call3 now p qlen rest
+
+let rec call2 now p = function
+  | [] -> ()
+  | f :: rest ->
+    f now p;
+    call2 now p rest
+
 let fire_enqueue t p =
   match t.enqueue_hooks with
   | [] -> ()
-  | hooks ->
-    let now = Engine.Sim.now t.sim in
-    let qlen = queue_length t in
-    List.iter (fun f -> f now p qlen) hooks
+  | hooks -> call3 (Engine.Sim.now t.sim) p (queue_length t) hooks
 
 let fire_drop t p =
   match t.drop_hooks with
   | [] -> ()
-  | hooks ->
-    let now = Engine.Sim.now t.sim in
-    List.iter (fun f -> f now p) hooks
+  | hooks -> call2 (Engine.Sim.now t.sim) p hooks
 
 let fire_depart t p =
   match t.depart_hooks with
   | [] -> ()
-  | hooks ->
-    let now = Engine.Sim.now t.sim in
-    let qlen = queue_length t in
-    List.iter (fun f -> f now p qlen) hooks
+  | hooks -> call3 (Engine.Sim.now t.sim) p (queue_length t) hooks
 
 let count_enq t (p : Packet.t) =
   match p.kind with

@@ -66,15 +66,23 @@ let sim t = t.sim
 let on_inject t f = t.inject_hooks <- f :: t.inject_hooks
 let on_deliver t f = t.deliver_hooks <- f :: t.deliver_hooks
 
+(* Spelled-out loops: a firing allocates no [List.iter] closure, only
+   the boxed time. *)
+let rec call now p = function
+  | [] -> ()
+  | f :: rest ->
+    f now p;
+    call now p rest
+
 let fire_inject t p =
   match t.inject_hooks with
   | [] -> ()
-  | hooks -> List.iter (fun f -> f (Engine.Sim.now t.sim) p) hooks
+  | hooks -> call (Engine.Sim.now t.sim) p hooks
 
 let fire_deliver t p =
   match t.deliver_hooks with
   | [] -> ()
-  | hooks -> List.iter (fun f -> f (Engine.Sim.now t.sim) p) hooks
+  | hooks -> call (Engine.Sim.now t.sim) p hooks
 
 let refresh t =
   if t.array_stale then begin

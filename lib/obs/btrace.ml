@@ -144,7 +144,9 @@ type writer = {
   mutable pos : int;
   strings : (string, int) Hashtbl.t;
   mutable next_sid : int;
-  mutable prev_bits : int64;
+  prev_bits : Bytes.t;
+      (* the last time's float bits, little-endian: an int64 field would
+         box on every store *)
 }
 
 let flush w =
@@ -207,7 +209,7 @@ let writer ?(segment = 256 * 1024) sink =
       pos = 0;
       strings = Hashtbl.create 32;
       next_sid = 0;
-      prev_bits = 0L;
+      prev_bits = Bytes.make 8 '\000';
     }
   in
   put_raw w magic;
@@ -271,8 +273,8 @@ let native_max = 0x2000000000000000L
 
 let put_time w seg pos time =
   let bits = Int64.bits_of_float time in
-  let delta = Int64.sub bits w.prev_bits in
-  w.prev_bits <- bits;
+  let delta = Int64.sub bits (Bytes.get_int64_le w.prev_bits 0) in
+  Bytes.set_int64_le w.prev_bits 0 bits;
   if Int64.compare delta native_min > 0 && Int64.compare delta native_max < 0
   then begin
     let d = Int64.to_int delta in

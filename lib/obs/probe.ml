@@ -39,7 +39,8 @@ let copt registry name =
   | None -> None
 
 let bump = function Some c -> Metrics.incr c | None -> ()
-let emit tr ev = match tr with Some tr -> Tracer.emit tr ev | None -> ()
+let emit tr time ev =
+  match tr with Some tr -> Tracer.emit tr ~time ev | None -> ()
 
 let fault_label : Net.Link.fault_event -> string = function
   | Net.Link.Fault_drop label -> label
@@ -70,24 +71,24 @@ let wire_link ~sim ~registry ~tr link =
       Some (Metrics.histogram reg (pfx ^ ".qlen_hist") ~bounds:qlen_bounds)
     | None -> None
   in
-  Net.Link.on_enqueue link (fun _time pkt qlen ->
+  Net.Link.on_enqueue link (fun time pkt qlen ->
       bump enq;
       (match qhist with
        | Some h -> Metrics.observe h (float_of_int qlen)
        | None -> ());
-      emit tr (Event.Enqueue { link; pkt; qlen }));
-  Net.Link.on_drop link (fun _time pkt ->
+      emit tr time (Event.Enqueue { link; pkt; qlen }));
+  Net.Link.on_drop link (fun time pkt ->
       bump drop;
-      emit tr (Event.Drop { link; pkt }));
-  Net.Link.on_depart link (fun _time pkt qlen ->
+      emit tr time (Event.Drop { link; pkt }));
+  Net.Link.on_depart link (fun time pkt qlen ->
       bump dep;
       (match dep_bytes with
        | Some c -> Metrics.add c pkt.Net.Packet.size
        | None -> ());
-      emit tr (Event.Depart { link; pkt; qlen }));
-  Net.Link.on_fault link (fun _time fe pkt ->
+      emit tr time (Event.Depart { link; pkt; qlen }));
+  Net.Link.on_fault link (fun time fe pkt ->
       bump faults;
-      emit tr (Event.Fault { link; label = fault_label fe; pkt }))
+      emit tr time (Event.Fault { link; label = fault_label fe; pkt }))
 
 let wire_conn ~registry ~tr ~fs (cid, conn) =
   let cfg = Tcp.Connection.config conn in
@@ -124,12 +125,12 @@ let wire_conn ~registry ~tr ~fs (cid, conn) =
   (match (tr, fs) with
    | (None, None) -> ()
    | _ ->
-     Tcp.Sender.on_cwnd s (fun _time ~cwnd ~ssthresh ->
+     Tcp.Sender.on_cwnd s (fun time ~cwnd ~ssthresh ->
          (match fs with
           | Some fs -> Flowstats.record_cwnd fs ~conn:cid ~cwnd
           | None -> ());
-         emit tr (Event.Cwnd { conn = cid; cwnd; ssthresh })));
-  Tcp.Sender.on_loss s (fun _time reason ->
+         emit tr time (Event.Cwnd { conn = cid; cwnd; ssthresh })));
+  Tcp.Sender.on_loss s (fun time reason ->
       bump cuts;
       (match reason with
        | Tcp.Sender.Timeout -> bump touts
@@ -137,7 +138,7 @@ let wire_conn ~registry ~tr ~fs (cid, conn) =
       (match fs with
        | Some fs -> Flowstats.record_loss fs ~conn:cid
        | None -> ());
-      emit tr
+      emit tr time
         (Event.Loss
            { conn = cid;
              reason =
@@ -152,12 +153,12 @@ let wire_conn ~registry ~tr ~fs (cid, conn) =
          Flowstats.record_send fs ~time ~conn:cid ~seq:pkt.Net.Packet.seq
            ~retransmit:pkt.Net.Packet.retransmit
        | None -> ());
-      emit tr (Event.Send { conn = cid; pkt }));
-  Tcp.Receiver.on_ack_sent r (fun _time ~ackno ~delayed ~dup ->
+      emit tr time (Event.Send { conn = cid; pkt }));
+  Tcp.Receiver.on_ack_sent r (fun time ~ackno ~delayed ~dup ->
       bump acks;
       if delayed then bump delacks;
       if dup then bump dupacks;
-      emit tr (Event.Ack_tx { conn = cid; ackno; delayed; dup }))
+      emit tr time (Event.Ack_tx { conn = cid; ackno; delayed; dup }))
 
 let attach setup ~net ~conns =
   let sim = Net.Network.sim net in
@@ -181,10 +182,10 @@ let attach setup ~net ~conns =
   let injected = copt registry "net.injected" in
   let delivered = copt registry "net.delivered" in
   if registry <> None || tr <> None || fs <> None then begin
-    Net.Network.on_inject net (fun _time p ->
+    Net.Network.on_inject net (fun time p ->
         bump injected;
-        emit tr (Event.Inject p));
-    Net.Network.on_deliver net (fun _time p ->
+        emit tr time (Event.Inject p));
+    Net.Network.on_deliver net (fun time p ->
         bump delivered;
         (match fs with
          | Some fs -> (
@@ -198,7 +199,7 @@ let attach setup ~net ~conns =
              Flowstats.record_ack_delivered fs ~time:(Engine.Sim.now sim)
                ~conn:p.Net.Packet.conn ~ackno:p.Net.Packet.seq)
          | None -> ());
-        emit tr (Event.Deliver p));
+        emit tr time (Event.Deliver p));
     List.iter (wire_link ~sim ~registry ~tr) (Net.Network.links net);
     List.iter (wire_conn ~registry ~tr ~fs) conns
   end;

@@ -44,8 +44,7 @@ let declare_conn_meta t conn ~start_time ~flow_size =
   | Some w -> Btrace.declare_conn_meta w conn ~start_time ~flow_size
   | None -> ()
 
-let emit t ev =
-  let time = Engine.Sim.now t.sim in
+let emit t ~time ev =
   t.emitted <- t.emitted + 1;
   (match t.writer with Some w -> Btrace.event w ~time ev | None -> ());
   match t.flight with

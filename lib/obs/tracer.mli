@@ -38,9 +38,10 @@ val declare_conn : t -> int -> unit
 val declare_conn_meta :
   t -> int -> start_time:float -> flow_size:int option -> unit
 
-(** Stamp the event with the current simulated time, append its binary
-    record, and copy it into the flight ring if one is armed. *)
-val emit : t -> Event.t -> unit
+(** Stamp the event with [time] — the current simulated time, as the
+    emitting hook received it — append its binary record, and copy it
+    into the flight ring if one is armed. *)
+val emit : t -> time:float -> Event.t -> unit
 
 (** Events emitted so far. *)
 val events_emitted : t -> int

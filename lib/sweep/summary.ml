@@ -21,13 +21,6 @@ type t = {
   metrics : (string * float) list;
 }
 
-let queue_max (r : Core.Runner.result) qt =
-  match
-    Trace.Series.min_max (Trace.Queue_trace.series qt) ~t0:r.t0 ~t1:r.t1
-  with
-  | Some (_, hi) -> hi
-  | None -> 0.
-
 (* Distinct controller specs across the point's connections, first-use
    order ("tahoe" for a homogeneous classic run, "tahoe,fixed:w=30" for a
    mixed one). *)
@@ -62,7 +55,7 @@ let fct_quantiles conns =
 
 let of_result ~id ?(params = []) (r : Core.Runner.result) =
   let phase, phase_corr = Core.Runner.queue_phase r in
-  let epochs = Core.Runner.epochs r in
+  let tally = r.tally in
   let fct_p50, fct_p99 = fct_quantiles r.conns in
   {
     id;
@@ -70,16 +63,16 @@ let of_result ~id ?(params = []) (r : Core.Runner.result) =
     cc = cc_of_conns r.conns;
     util_fwd = r.util_fwd;
     util_bwd = r.util_bwd;
-    drops_window = List.length (Core.Runner.drops_in_window r);
-    drops_total = Trace.Drop_log.total r.drops;
+    drops_window = tally.drops_window;
+    drops_total = tally.drops_total;
     delivered = Array.to_list r.delivered;
     phase = Analysis.Sync.phase_to_string phase;
     phase_corr;
-    epoch_count = List.length epochs;
-    mean_drops_per_epoch = Analysis.Epochs.mean_drops epochs;
-    single_loser = Analysis.Epochs.single_loser_fraction epochs;
-    q1_max = queue_max r r.q1;
-    q2_max = queue_max r r.q2;
+    epoch_count = tally.epochs;
+    mean_drops_per_epoch = Trace.Tally.mean_drops_per_epoch tally;
+    single_loser = Trace.Tally.single_loser_fraction tally;
+    q1_max = tally.q1_max;
+    q2_max = tally.q2_max;
     effective_pipe = Core.Runner.effective_pipe r;
     jain =
       Analysis.Fairness.jain (Array.map float_of_int r.delivered);

@@ -1,7 +1,8 @@
 (** Records a link's buffer occupancy as a step {!Series}.
 
-    A sample is appended at attach time and after every enqueue and
-    departure, exactly reproducing the paper's queue-length graphs
+    A sample is appended at attach time, after every enqueue and
+    departure, and after a drop that changed the length (an outage
+    flushing the buffer), exactly reproducing the paper's queue-length graphs
     (including the high-frequency alternation between adjacent values as
     packets arrive and depart). *)
 

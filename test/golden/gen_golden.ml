@@ -27,10 +27,10 @@ let check_clean r =
   | _ -> ()
 
 let digest (scenario : Core.Scenario.t) =
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~traces:true scenario in
   check_clean r;
   Printf.printf "[%s]\n" scenario.Core.Scenario.name;
-  Printf.printf "drops = %d\n" (Trace.Drop_log.total r.Core.Runner.drops);
+  Printf.printf "drops = %d\n" (Trace.Drop_log.total (Core.Runner.traces r).drops);
   Printf.printf "util_fwd = %.6f\n" r.Core.Runner.util_fwd;
   Printf.printf "util_bwd = %.6f\n" r.Core.Runner.util_bwd;
   Array.iteri
@@ -39,9 +39,9 @@ let digest (scenario : Core.Scenario.t) =
         (Tcp.Sender.cwnd (Tcp.Connection.sender conn)))
     r.Core.Runner.conns;
   Printf.printf "queue_fwd_md5 = %s\n"
-    (series_checksum (Trace.Queue_trace.series r.Core.Runner.q1));
+    (series_checksum (Trace.Queue_trace.series (Core.Runner.traces r).q1));
   Printf.printf "queue_bwd_md5 = %s\n"
-    (series_checksum (Trace.Queue_trace.series r.Core.Runner.q2));
+    (series_checksum (Trace.Queue_trace.series (Core.Runner.traces r).q2));
   print_newline ()
 
 (* The §5 chain (Quick TAB-MHOP spec, validation on): per-trunk queue
@@ -52,13 +52,13 @@ let multihop_digest () =
     { (Core.Experiments.scenario_multihop Core.Experiments.Quick) with
       validate = true }
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~traces:true scenario in
   check_clean r;
   print_endline "[multihop]";
-  Printf.printf "drops = %d\n" (Trace.Drop_log.total r.Core.Runner.drops);
+  Printf.printf "drops = %d\n" (Trace.Drop_log.total (Core.Runner.traces r).drops);
   Array.iteri
     (fun i (u_fwd, u_bwd) ->
-      let q_fwd, q_bwd = r.Core.Runner.trunk_queues.(i) in
+      let q_fwd, q_bwd = (Core.Runner.traces r).trunk_queues.(i) in
       Printf.printf "trunk%d_util_fwd = %.6f\n" i u_fwd;
       Printf.printf "trunk%d_util_bwd = %.6f\n" i u_bwd;
       Printf.printf "trunk%d_queue_fwd_md5 = %s\n" i

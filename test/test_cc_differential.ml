@@ -166,17 +166,18 @@ let test_scenario_algorithm_vs_cc () =
   let speced =
     scenario_with (fun dir -> Core.Scenario.conn ~cc:(Cc.spec "reno") dir)
   in
-  let r1 = Core.Runner.run legacy and r2 = Core.Runner.run speced in
+  let r1 = Core.Runner.run ~traces:true legacy
+  and r2 = Core.Runner.run ~traces:true speced in
   Alcotest.(check (array int))
     "delivered identical"
     r1.Core.Runner.delivered r2.Core.Runner.delivered;
   Alcotest.(check int) "drops identical"
-    (Trace.Drop_log.total r1.Core.Runner.drops)
-    (Trace.Drop_log.total r2.Core.Runner.drops);
+    (Trace.Drop_log.total (Core.Runner.traces r1).drops)
+    (Trace.Drop_log.total (Core.Runner.traces r2).drops);
   let series (r : Core.Runner.result) i =
     Array.to_list
       (Trace.Series.resample
-         (Trace.Cwnd_trace.cwnd r.Core.Runner.cwnds.(i))
+         (Trace.Cwnd_trace.cwnd (Core.Runner.traces r).cwnds.(i))
          ~t0:r.Core.Runner.t0 ~t1:r.Core.Runner.t1 ~dt:1.)
   in
   Alcotest.(check (list (float 0.))) "fwd cwnd trace identical"
@@ -233,10 +234,10 @@ let prop_aimd_converges =
             ]
           ~duration:300. ~warmup:0. ()
       in
-      let r = Core.Runner.run scenario in
+      let r = Core.Runner.run ~traces:true scenario in
       let resample i =
         Trace.Series.resample
-          (Trace.Cwnd_trace.cwnd r.Core.Runner.cwnds.(i))
+          (Trace.Cwnd_trace.cwnd (Core.Runner.traces r).cwnds.(i))
           ~t0:(float_of_int stagger) ~t1:300. ~dt:0.5
       in
       let w1 = resample 0 and w2 = resample 1 in

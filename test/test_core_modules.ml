@@ -126,7 +126,7 @@ let test_export_run () =
       ~conns:[ Core.Scenario.conn Core.Scenario.Forward ]
       ~duration:20. ~warmup:5. ()
   in
-  let r = Core.Runner.run scenario in
+  let r = Core.Runner.run ~traces:true scenario in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "repro-export" in
   let files = Core.Export.run_csv ~dir ~prefix:"t" r in
   (* q1, q2, one cwnd, drops *)

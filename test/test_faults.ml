@@ -153,7 +153,7 @@ let assert_clean (r : Core.Runner.result) =
 
 let test_bernoulli_reproducible () =
   let spec = Faults.Spec.bernoulli 0.03 in
-  let run () = Core.Runner.run (faulty_scenario ~spec ()) in
+  let run () = Core.Runner.run ~traces:true (faulty_scenario ~spec ()) in
   let a = run () and b = run () in
   let p_a = plan_of a and p_b = plan_of b in
   Alcotest.(check bool) "losses happened" true (Faults.Plan.losses p_a > 0);
@@ -162,17 +162,17 @@ let test_bernoulli_reproducible () =
   Alcotest.(check (array int)) "same deliveries" a.delivered b.delivered;
   (* Bit-level: the whole queue trajectory repeats. *)
   Alcotest.(check (list (pair (float 0.) (float 0.)))) "same queue series"
-    (Trace.Series.to_list (Trace.Queue_trace.series a.q1))
-    (Trace.Series.to_list (Trace.Queue_trace.series b.q1));
+    (Trace.Series.to_list (Trace.Queue_trace.series (Core.Runner.traces a).q1))
+    (Trace.Series.to_list (Trace.Queue_trace.series (Core.Runner.traces b).q1));
   assert_clean a
 
 let test_seed_changes_faults () =
   let spec = Faults.Spec.bernoulli 0.03 in
-  let a = Core.Runner.run (faulty_scenario ~spec ~fault_seed:1 ()) in
-  let b = Core.Runner.run (faulty_scenario ~spec ~fault_seed:2 ()) in
+  let a = Core.Runner.run ~traces:true (faulty_scenario ~spec ~fault_seed:1 ()) in
+  let b = Core.Runner.run ~traces:true (faulty_scenario ~spec ~fault_seed:2 ()) in
   Alcotest.(check bool) "different seeds, different trajectories" true
-    (Trace.Series.to_list (Trace.Queue_trace.series a.q1)
-    <> Trace.Series.to_list (Trace.Queue_trace.series b.q1))
+    (Trace.Series.to_list (Trace.Queue_trace.series (Core.Runner.traces a).q1)
+    <> Trace.Series.to_list (Trace.Queue_trace.series (Core.Runner.traces b).q1))
 
 let test_combined_faults_validate_clean () =
   (* Loss + duplication + order-preserving jitter, all at once, under the
@@ -211,6 +211,18 @@ let test_outage_validate_clean () =
   Alcotest.(check bool) "outage drops" true
     (Faults.Plan.outage_drops (plan_of r) > 0);
   assert_clean r
+
+(* An outage flushes the buffer through drop hooks alone (no enqueue or
+   departure fires), so the recorded queue must follow the drops down to
+   empty rather than hold its pre-cut length for the whole outage. *)
+let test_outage_empties_queue_series () =
+  let spec = Faults.Spec.scheduled_outage [ (60., 70.) ] in
+  let r = Core.Runner.run ~traces:true (faulty_scenario ~spec ()) in
+  let q1 = Trace.Queue_trace.series (Core.Runner.traces r).q1 in
+  Alcotest.(check (option (float 0.))) "queue empty during the outage"
+    (Some 0.) (Trace.Series.value_at q1 ~time:60.5);
+  Alcotest.(check bool) "the queue was busy before the cut" true
+    (Option.get (Trace.Series.value_at q1 ~time:59.9) > 0.)
 
 (* ---------------- satellite: end-to-end timeout recovery -------------- *)
 
@@ -440,6 +452,8 @@ let suite =
         test_reordering_jitter_validate_clean;
       Alcotest.test_case "outage validates clean" `Quick
         test_outage_validate_clean;
+      Alcotest.test_case "outage empties the queue series" `Quick
+        test_outage_empties_queue_series;
       Alcotest.test_case "timeout recovery" `Quick test_timeout_recovery;
       Alcotest.test_case "spec validation" `Quick test_spec_validation;
       Alcotest.test_case "double install rejected" `Quick

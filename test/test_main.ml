@@ -18,6 +18,7 @@ let () =
       Test_connection.suite;
       Test_series.suite;
       Test_traces.suite;
+      Test_tally.suite;
       Test_stats.suite;
       Test_epochs.suite;
       Test_analysis.suite;

@@ -10,14 +10,15 @@ let hops (spec : Core.Scenario.conn_spec) =
   hi - lo
 
 let test_structure () =
-  let r = Core.Runner.run (small ()) in
-  Alcotest.(check int) "trunk count" 3 (Array.length r.trunk_queues);
+  let r = Core.Runner.run ~traces:true (small ()) in
+  let tr = Core.Runner.traces r in
+  Alcotest.(check int) "trunk count" 3 (Array.length tr.trunk_queues);
   Alcotest.(check int) "departure logs per trunk" 3
-    (Array.length r.trunk_deps);
+    (Array.length tr.trunk_deps);
   Alcotest.(check int) "utils per trunk" 3 (Array.length r.trunk_utils);
   Alcotest.(check int) "all connections built" 12 (Array.length r.conns);
   Alcotest.(check bool) "trunk 0 is the dumbbell bottleneck" true
-    (fst r.trunk_queues.(0) == r.q1 && snd r.trunk_queues.(0) == r.q2);
+    (fst tr.trunk_queues.(0) == tr.q1 && snd tr.trunk_queues.(0) == tr.q2);
   Alcotest.(check (pair (float 0.) (float 0.)))
     "trunk 0 utilization is util_fwd/util_bwd" r.trunk_utils.(0)
     (r.util_fwd, r.util_bwd)

@@ -407,15 +407,16 @@ let series_bytes s =
   Buffer.contents buf
 
 let result_fingerprint (r : Core.Runner.result) =
+  let tr = Core.Runner.traces r in
   String.concat "|"
     (Printf.sprintf "%.17g:%.17g" r.util_fwd r.util_bwd
      :: (Array.to_list r.delivered |> List.map string_of_int)
     @ [
-        string_of_int (Trace.Drop_log.total r.drops);
-        series_bytes (Trace.Queue_trace.series r.q1);
-        series_bytes (Trace.Queue_trace.series r.q2);
+        string_of_int (Trace.Drop_log.total tr.drops);
+        series_bytes (Trace.Queue_trace.series tr.q1);
+        series_bytes (Trace.Queue_trace.series tr.q2);
       ]
-    @ (Array.to_list r.cwnds
+    @ (Array.to_list tr.cwnds
       |> List.map (fun t -> series_bytes (Trace.Cwnd_trace.cwnd t))))
 
 let prop_observation_transparent =
@@ -423,10 +424,10 @@ let prop_observation_transparent =
     (QCheck.make ~print:spec_print spec_gen)
     (fun s ->
       let scenario = scenario_of_spec s in
-      let bare = Core.Runner.run scenario in
+      let bare = Core.Runner.run ~traces:true scenario in
       let sink (_ : string) = () in
       let observed =
-        Core.Runner.run
+        Core.Runner.run ~traces:true
           ~obs:
             (Obs.Probe.setup ~series_dt:1.0 ~btrace:sink ~flight:128
                ~flowstats:true ())

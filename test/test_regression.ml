@@ -5,7 +5,7 @@
    alters them, update the constants — the point is that it cannot happen
    silently. *)
 
-let run scenario = Core.Runner.run scenario
+let run scenario = Core.Runner.run ~traces:true scenario
 
 let test_oneway_golden () =
   let r =
@@ -18,7 +18,7 @@ let test_oneway_golden () =
   (* pin the exact trajectory *)
   Alcotest.(check int) "packets delivered end-to-end" 770
     (Tcp.Connection.delivered conn);
-  Alcotest.(check int) "total drops" 46 (Trace.Drop_log.total r.drops);
+  Alcotest.(check int) "total drops" 46 (Trace.Drop_log.total (Core.Runner.traces r).drops);
   Alcotest.(check int) "window-restricted delivery" 656 r.delivered.(0)
 
 let test_twoway_golden () =
@@ -35,7 +35,7 @@ let test_twoway_golden () =
   in
   let total = r.delivered.(0) + r.delivered.(1) in
   Alcotest.(check int) "aggregate delivery" 1231 total;
-  Alcotest.(check int) "total drops" 66 (Trace.Drop_log.total r.drops)
+  Alcotest.(check int) "total drops" 66 (Trace.Drop_log.total (Core.Runner.traces r).drops)
 
 let test_fixed_golden () =
   let r =
@@ -44,7 +44,7 @@ let test_fixed_golden () =
   in
   Alcotest.(check int) "conn1 delivered" 1380 r.delivered.(0);
   Alcotest.(check int) "conn2 delivered" 1150 r.delivered.(1);
-  Alcotest.(check int) "no drops" 0 (Trace.Drop_log.total r.drops)
+  Alcotest.(check int) "no drops" 0 (Trace.Drop_log.total (Core.Runner.traces r).drops)
 
 let suite =
   ( "regression (golden values)",

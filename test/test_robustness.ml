@@ -127,7 +127,7 @@ let test_runner_event_budget () =
     (r.Core.Runner.bundle = None)
 
 let test_runner_stop_before_warmup () =
-  let r = Core.Runner.run ~stop:(fun () -> true) (scenario ()) in
+  let r = Core.Runner.run ~traces:true ~stop:(fun () -> true) (scenario ()) in
   Alcotest.check stop_reason "stop requested" Engine.Sim.Stop_requested
     r.Core.Runner.stop;
   Alcotest.(check (float 0.)) "zero forward utilization" 0.

@@ -5,12 +5,12 @@ let short ?(tau = 0.01) ?(buffer = Some 20) conns =
     ~warmup:20. ()
 
 let test_single_connection_metrics () =
-  let r = Core.Runner.run (short [ Core.Scenario.conn Core.Scenario.Forward ]) in
+  let r = Core.Runner.run ~traces:true (short [ Core.Scenario.conn Core.Scenario.Forward ]) in
   Alcotest.(check bool) "utilization sane" true
     (r.util_fwd > 0.5 && r.util_fwd <= 1.0);
   Alcotest.(check bool) "reverse carries only acks" true (r.util_bwd < 0.2);
   Alcotest.(check bool) "goodput positive" true (Core.Runner.goodput r 0 > 5.);
-  Alcotest.(check int) "one cwnd trace" 1 (Array.length r.cwnds);
+  Alcotest.(check int) "one cwnd trace" 1 (Array.length (Core.Runner.traces r).cwnds);
   Alcotest.(check (float 0.)) "window start" 20. r.t0;
   Alcotest.(check (float 0.)) "window end" 60. r.t1
 
@@ -58,16 +58,21 @@ let test_delivered_counts_window_only () =
   Alcotest.(check bool) "window nonempty" true (r.delivered.(0) > 0)
 
 let test_queue_traces_attached () =
-  let r = Core.Runner.run (short [ Core.Scenario.conn Core.Scenario.Forward ]) in
+  let r =
+    Core.Runner.run ~traces:true
+      (short [ Core.Scenario.conn Core.Scenario.Forward ])
+  in
+  let tr = Core.Runner.traces r in
   Alcotest.(check bool) "q1 saw traffic" true
-    (Trace.Series.length (Trace.Queue_trace.series r.q1) > 10);
+    (Trace.Series.length (Trace.Queue_trace.series tr.q1) > 10);
   Alcotest.(check bool) "q2 saw the acks" true
-    (Trace.Series.length (Trace.Queue_trace.series r.q2) > 10);
-  Alcotest.(check bool) "departures logged" true (Trace.Dep_log.total r.dep_fwd > 10)
+    (Trace.Series.length (Trace.Queue_trace.series tr.q2) > 10);
+  Alcotest.(check bool) "departures logged" true
+    (Trace.Dep_log.total tr.dep_fwd > 10)
 
 let test_epochs_and_phase_helpers () =
   let r =
-    Core.Runner.run
+    Core.Runner.run ~traces:true
       (short ~tau:0.01
          [
            Core.Scenario.conn Core.Scenario.Forward;
