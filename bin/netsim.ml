@@ -21,14 +21,14 @@ let exit_interrupt = 130
 (* Numeric flags go through [Core.Args] so "nan", "inf" and
    out-of-range values are rejected at parse time with the flag named
    in the error instead of corrupting a run. *)
-let checked_float ~what check =
-  let parse s =
-    match Core.Args.parse_float ~what check s with
-    | Ok v -> Ok v
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf v = Format.fprintf ppf "%g" v in
+let checked parse print ~what check =
+  let parse s = Result.map_error (fun m -> `Msg m) (parse ~what check s) in
   Arg.conv (parse, print)
+
+let checked_float =
+  checked Core.Args.parse_float (fun ppf -> Format.fprintf ppf "%g")
+
+let checked_int = checked Core.Args.parse_int Format.pp_print_int
 
 (* ---------------- interrupts ---------------- *)
 
@@ -68,7 +68,8 @@ let guard_term =
   let max_events =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (checked_int ~what:"--max-events" Core.Args.Non_negative))
+          None
       & info [ "max-events" ] ~docv:"N"
           ~doc:
             "Watchdog: stop the simulation after N events (per point for \
@@ -404,7 +405,8 @@ let obs_term =
   in
   let flight =
     Arg.(
-      value & opt int 0
+      value
+      & opt (checked_int ~what:"--flight-recorder" Core.Args.Non_negative) 0
       & info [ "flight-recorder" ] ~docv:"N"
           ~doc:
             "Keep the last N trace events in a ring and dump them to \
@@ -675,11 +677,13 @@ let run_custom tau buffer fwd rev fixed delack ack_size algorithm cc pacing
   end
 
 let fixed_conv =
+  let window = Core.Args.parse_int ~what:"--fixed" Core.Args.Positive in
   let parse s =
     match String.split_on_char ',' s with
-    | [ a; b ] ->
-      (try Ok (int_of_string (String.trim a), int_of_string (String.trim b))
-       with _ -> Error (`Msg "expected W1,W2"))
+    | [ a; b ] -> (
+      match (window a, window b) with
+      | Ok a, Ok b -> Ok (a, b)
+      | Error msg, _ | _, Error msg -> Error (`Msg msg))
     | _ -> Error (`Msg "expected W1,W2")
   in
   let print ppf (a, b) = Format.fprintf ppf "%d,%d" a b in
@@ -700,12 +704,12 @@ let run_cmd =
   in
   let fwd =
     Arg.(
-      value & opt int 1
+      value & opt (checked_int ~what:"--fwd" Core.Args.Non_negative) 1
       & info [ "fwd" ] ~docv:"N" ~doc:"Connections sourcing on Host-1.")
   in
   let rev =
     Arg.(
-      value & opt int 0
+      value & opt (checked_int ~what:"--rev" Core.Args.Non_negative) 0
       & info [ "rev" ] ~docv:"N" ~doc:"Connections sourcing on Host-2.")
   in
   let fixed =
@@ -753,7 +757,7 @@ let run_cmd =
   let flow_size =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (checked_int ~what:"--flow-size" Core.Args.Positive)) None
       & info [ "flow-size" ] ~docv:"PKTS"
           ~doc:"Finite flows of this many packets (default: infinite).")
   in
@@ -768,7 +772,7 @@ let run_cmd =
   in
   let ack_size =
     Arg.(
-      value & opt int 50
+      value & opt (checked_int ~what:"--ack-size" Core.Args.Non_negative) 50
       & info [ "ack-size" ] ~docv:"BYTES" ~doc:"ACK packet size.")
   in
   let duration =

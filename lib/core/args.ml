@@ -1,8 +1,10 @@
 (* Validated numeric argument parsing.  [float_of_string] happily
    accepts "nan", "inf" and negative values where the CLI means a
-   duration, a rate or a probability; every netsim flag goes through
-   [parse_float] with the range it actually requires, so a bad value
-   fails loudly at the command line instead of corrupting a run. *)
+   duration, a rate or a probability, and a negative count or size
+   crashes deep inside the model; every netsim numeric flag goes through
+   [parse_float] or [parse_int] with the range it actually requires, so
+   a bad value fails loudly at the command line instead of corrupting a
+   run. *)
 
 type check = Positive | Non_negative | Probability
 
@@ -32,3 +34,15 @@ let parse_float ~what c s =
   match float_of_string_opt (String.trim s) with
   | None -> Error (Printf.sprintf "%s: %S is not a number" what s)
   | Some v -> check ~what c v
+
+let int_requirement = function
+  | Positive -> "an integer > 0"
+  | Non_negative -> "an integer >= 0"
+  | Probability -> "0 or 1"
+
+let parse_int ~what c s =
+  match int_of_string_opt (String.trim s) with
+  | None -> Error (Printf.sprintf "%s: %S is not an integer" what s)
+  | Some v when admits c (float_of_int v) -> Ok v
+  | Some v ->
+    Error (Printf.sprintf "%s must be %s (got %d)" what (int_requirement c) v)

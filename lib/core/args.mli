@@ -22,3 +22,7 @@ val check : what:string -> check -> float -> (float, string) result
 
 (** Parse then {!check}; malformed input also names [what]. *)
 val parse_float : what:string -> check -> string -> (float, string) result
+
+(** {!parse_float} for integer flags (counts, sizes, windows): the
+    value must parse as an integer and satisfy the check. *)
+val parse_int : what:string -> check -> string -> (int, string) result

@@ -40,6 +40,7 @@ type counters = {
   mutable dep_data : int;
   mutable dep_ack : int;
   mutable dep_bytes : int;
+  mutable faults : int;  (** fault events, one per {!on_fault} firing *)
 }
 
 (** [create sim ~id ~name ~src ~dst ~bandwidth ~prop_delay ~buffer] makes an

@@ -31,6 +31,8 @@ type t = {
   mutable next_packet_id : int;
   mutable inject_hooks : (float -> Packet.t -> unit) list;
   mutable deliver_hooks : (float -> Packet.t -> unit) list;
+  mutable injected : int;
+  mutable delivered : int;
   mutable free_arrivals : arrival;  (* free-list head; arrival_nil ends it *)
   arrival_nil : arrival;
 }
@@ -58,6 +60,8 @@ let create sim =
     next_packet_id = 0;
     inject_hooks = [];
     deliver_hooks = [];
+    injected = 0;
+    delivered = 0;
     free_arrivals = arrival_nil;
     arrival_nil;
   }
@@ -65,6 +69,8 @@ let create sim =
 let sim t = t.sim
 let on_inject t f = t.inject_hooks <- f :: t.inject_hooks
 let on_deliver t f = t.deliver_hooks <- f :: t.deliver_hooks
+let injected t = t.injected
+let delivered t = t.delivered
 
 (* Spelled-out loops: a firing allocates no [List.iter] closure, only
    the boxed time. *)
@@ -75,11 +81,13 @@ let rec call now p = function
     call now p rest
 
 let fire_inject t p =
+  t.injected <- t.injected + 1;
   match t.inject_hooks with
   | [] -> ()
   | hooks -> call (Engine.Sim.now t.sim) p hooks
 
 let fire_deliver t p =
+  t.delivered <- t.delivered + 1;
   match t.deliver_hooks with
   | [] -> ()
   | hooks -> call (Engine.Sim.now t.sim) p hooks

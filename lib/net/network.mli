@@ -74,6 +74,12 @@ val on_inject : t -> (float -> Packet.t -> unit) -> unit
     host's processing delay). *)
 val on_deliver : t -> (float -> Packet.t -> unit) -> unit
 
+(** Packets injected so far: one per {!on_inject} firing. *)
+val injected : t -> int
+
+(** Packets handed to endpoints so far: one per {!on_deliver} firing. *)
+val delivered : t -> int
+
 (** Fresh unique packet id. *)
 val fresh_packet_id : t -> int
 

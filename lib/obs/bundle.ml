@@ -57,7 +57,3 @@ let load ~dir =
     match read_file (Filename.concat dir scenario_file) with
     | Error _ as e -> e
     | Ok blob -> Ok (meta, blob))
-
-let load_meta ~dir = read_file (Filename.concat dir meta_file)
-
-let load_scenario_blob ~dir = read_file (Filename.concat dir scenario_file)

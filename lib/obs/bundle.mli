@@ -13,11 +13,6 @@
     Writes are best-effort: every failure comes back as [Error] so a
     failed postmortem never masks the crash being reported. *)
 
-val meta_file : string
-val scenario_file : string
-val flight_file : string
-val metrics_file : string
-
 (** Write a bundle into [dir] (created, parents included, if needed;
     existing files are overwritten — bundle naming is the caller's
     concern).  [flight_text] is the pre-rendered flight-recorder
@@ -33,6 +28,3 @@ val write :
 
 (** [(meta_json, scenario_blob)] of the bundle at [dir]. *)
 val load : dir:string -> (string * string, string) result
-
-val load_meta : dir:string -> (string, string) result
-val load_scenario_blob : dir:string -> (string, string) result

@@ -9,15 +9,3 @@ type t =
   | Cwnd of { conn : int; cwnd : float; ssthresh : float }
   | Loss of { conn : int; reason : string }
   | Ack_tx of { conn : int; ackno : int; delayed : bool; dup : bool }
-
-let label = function
-  | Inject _ -> "inject"
-  | Deliver _ -> "deliver"
-  | Enqueue _ -> "enqueue"
-  | Drop _ -> "drop"
-  | Depart _ -> "depart"
-  | Fault _ -> "fault"
-  | Send _ -> "send"
-  | Cwnd _ -> "cwnd"
-  | Loss _ -> "loss"
-  | Ack_tx _ -> "ack_tx"

@@ -19,6 +19,3 @@ type t =
   | Cwnd of { conn : int; cwnd : float; ssthresh : float }
   | Loss of { conn : int; reason : string }  (** ["timeout"] / ["dup_ack"] *)
   | Ack_tx of { conn : int; ackno : int; delayed : bool; dup : bool }
-
-(** Short event-kind tag, e.g. ["enqueue"]; also the JSONL ["ev"] value. *)
-val label : t -> string

@@ -1,33 +1,28 @@
-(** Metrics registry: named counters, gauges, and fixed-bucket histograms.
+(** Metrics registry: named gauges and fixed-bucket histograms.
 
-    Cells are flat mutable storage — an [int ref] per counter, a
-    one-element float array per gauge (a float field of a mixed record
-    would box on every store), an int array per histogram — so the
-    increment path allocates nothing.  Registration happens once, at
-    attach time; the per-event cost is a bounds check and a store.
+    Metrics are pulled, not pushed.  A gauge ({!gauge_fn}) is a function
+    read only when a snapshot is taken — typically of a counter the
+    simulated model already keeps — so wiring one costs nothing during
+    the run.  A histogram is the one cell fed per event: an int array per
+    histogram, so {!observe} allocates nothing.  Registration happens
+    once, at attach time.
 
-    Derived gauges ({!gauge_fn}) are sampled only when a snapshot is
-    taken, so wiring one costs nothing during the run.  Snapshots list
-    metrics in registration order, which makes their JSON encoding a pure
-    function of the registry contents (the sweep determinism diff relies
-    on this). *)
+    A gauge reads the model's state as it is at snapshot time, so a
+    count is cumulative from the model's creation, not from the moment
+    the gauge was registered: register before [Sim.run], as
+    [Probe.attach] does when [Core.Runner.run] calls it.
+
+    Snapshots list metrics in registration order, which makes their JSON
+    encoding a pure function of the registry contents (the sweep
+    determinism diff relies on this). *)
 
 type t
-type counter
-type gauge
 type histogram
 
 val create : unit -> t
 
 (** Number of registered metrics (histograms count once). *)
 val size : t -> int
-
-(** [counter t name] registers a fresh counter.
-    @raise Invalid_argument if [name] is already registered. *)
-val counter : t -> string -> counter
-
-(** @raise Invalid_argument if [name] is already registered. *)
-val gauge : t -> string -> gauge
 
 (** A gauge computed on demand: [f ()] is called at snapshot time only.
     @raise Invalid_argument if [name] is already registered. *)
@@ -38,13 +33,6 @@ val gauge_fn : t -> string -> (unit -> float) -> unit
     @raise Invalid_argument if [bounds] is empty, not strictly
     increasing, or [name] is already registered. *)
 val histogram : t -> string -> bounds:float array -> histogram
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val counter_value : counter -> int
-
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** Record one observation: the count of the first bucket whose upper
     bound is [>= v] (or the overflow bucket) is incremented. *)

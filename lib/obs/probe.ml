@@ -33,12 +33,6 @@ type t = {
    the distribution's shape off a snapshot. *)
 let qlen_bounds = [| 0.; 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
 
-let copt registry name =
-  match registry with
-  | Some reg -> Some (Metrics.counter reg name)
-  | None -> None
-
-let bump = function Some c -> Metrics.incr c | None -> ()
 let emit tr time ev =
   match tr with Some tr -> Tracer.emit tr ~time ev | None -> ()
 
@@ -47,48 +41,51 @@ let fault_label : Net.Link.fault_event -> string = function
   | Net.Link.Fault_duplicate -> "duplicate"
   | Net.Link.Fault_delay _ -> "delay"
 
+(* A count metric reads a counter the model keeps anyway, at snapshot
+   time; the per-event hooks below serve only the tracer, the per-flow
+   registry and the queue-length histogram. *)
+let count reg name f =
+  Metrics.gauge_fn reg name (fun () -> float_of_int (f ()))
+
 let wire_link ~sim ~registry ~tr link =
   (match tr with Some tr -> Tracer.declare_link tr link | None -> ());
   let pfx = "link." ^ Net.Link.name link in
-  (match registry with
-   | Some reg ->
-     Metrics.gauge_fn reg (pfx ^ ".qlen") (fun () ->
-         float_of_int (Net.Link.queue_length link));
-     Metrics.gauge_fn reg (pfx ^ ".busy_time") (fun () ->
-         Net.Link.busy_time link ~now:(Engine.Sim.now sim));
-     let meter = Trace.Util_meter.start link ~now:(Engine.Sim.now sim) in
-     Metrics.gauge_fn reg (pfx ^ ".utilization") (fun () ->
-         Trace.Util_meter.utilization meter ~now:(Engine.Sim.now sim))
-   | None -> ());
-  let enq = copt registry (pfx ^ ".enq") in
-  let drop = copt registry (pfx ^ ".drop") in
-  let dep = copt registry (pfx ^ ".dep") in
-  let dep_bytes = copt registry (pfx ^ ".dep_bytes") in
-  let faults = copt registry (pfx ^ ".faults") in
   let qhist =
     match registry with
     | Some reg ->
+      let gauge name f = Metrics.gauge_fn reg (pfx ^ name) f in
+      let count name f = count reg (pfx ^ name) f in
+      let now () = Engine.Sim.now sim in
+      count ".qlen" (fun () -> Net.Link.queue_length link);
+      gauge ".busy_time" (fun () -> Net.Link.busy_time link ~now:(now ()));
+      let meter = Trace.Util_meter.start link ~now:(now ()) in
+      gauge ".utilization" (fun () ->
+          Trace.Util_meter.utilization meter ~now:(now ()));
+      let c = Net.Link.counters link in
+      count ".enq" (fun () -> c.enq_data + c.enq_ack);
+      count ".drop" (fun () -> c.drop_data + c.drop_ack);
+      count ".dep" (fun () -> c.dep_data + c.dep_ack);
+      count ".dep_bytes" (fun () -> c.dep_bytes);
+      count ".faults" (fun () -> c.faults);
       Some (Metrics.histogram reg (pfx ^ ".qlen_hist") ~bounds:qlen_bounds)
     | None -> None
   in
-  Net.Link.on_enqueue link (fun time pkt qlen ->
-      bump enq;
-      (match qhist with
-       | Some h -> Metrics.observe h (float_of_int qlen)
-       | None -> ());
-      emit tr time (Event.Enqueue { link; pkt; qlen }));
-  Net.Link.on_drop link (fun time pkt ->
-      bump drop;
-      emit tr time (Event.Drop { link; pkt }));
-  Net.Link.on_depart link (fun time pkt qlen ->
-      bump dep;
-      (match dep_bytes with
-       | Some c -> Metrics.add c pkt.Net.Packet.size
-       | None -> ());
-      emit tr time (Event.Depart { link; pkt; qlen }));
-  Net.Link.on_fault link (fun time fe pkt ->
-      bump faults;
-      emit tr time (Event.Fault { link; label = fault_label fe; pkt }))
+  if qhist <> None || tr <> None then
+    Net.Link.on_enqueue link (fun time pkt qlen ->
+        (match qhist with
+         | Some h -> Metrics.observe h (float_of_int qlen)
+         | None -> ());
+        emit tr time (Event.Enqueue { link; pkt; qlen }));
+  match tr with
+  | None -> ()
+  | Some tr ->
+    Net.Link.on_drop link (fun time pkt ->
+        Tracer.emit tr ~time (Event.Drop { link; pkt }));
+    Net.Link.on_depart link (fun time pkt qlen ->
+        Tracer.emit tr ~time (Event.Depart { link; pkt; qlen }));
+    Net.Link.on_fault link (fun time fe pkt ->
+        Tracer.emit tr ~time
+          (Event.Fault { link; label = fault_label fe; pkt }))
 
 let wire_conn ~registry ~tr ~fs (cid, conn) =
   let cfg = Tcp.Connection.config conn in
@@ -107,58 +104,51 @@ let wire_conn ~registry ~tr ~fs (cid, conn) =
   let pfx = Printf.sprintf "conn.%d" cid in
   (match registry with
    | Some reg ->
-     Metrics.gauge_fn reg (pfx ^ ".cwnd") (fun () -> Tcp.Sender.cwnd s);
-     Metrics.gauge_fn reg (pfx ^ ".ssthresh") (fun () ->
-         Tcp.Sender.ssthresh s);
-     Metrics.gauge_fn reg (pfx ^ ".retransmits") (fun () ->
-         float_of_int (Tcp.Sender.retransmits s))
+     let gauge name f = Metrics.gauge_fn reg (pfx ^ name) f in
+     let count name f = count reg (pfx ^ name) f in
+     gauge ".cwnd" (fun () -> Tcp.Sender.cwnd s);
+     gauge ".ssthresh" (fun () -> Tcp.Sender.ssthresh s);
+     count ".retransmits" (fun () -> Tcp.Sender.retransmits s);
+     count ".cwnd_cuts" (fun () ->
+         Tcp.Sender.(timeouts s + fast_retransmits s));
+     count ".timeouts" (fun () -> Tcp.Sender.timeouts s);
+     count ".fast_rexmt" (fun () -> Tcp.Sender.fast_retransmits s);
+     count ".sends" (fun () -> Tcp.Sender.(data_sent s + retransmits s));
+     count ".acks" (fun () -> Tcp.Receiver.acks_sent r);
+     count ".delayed_acks" (fun () -> Tcp.Receiver.delayed_acks_sent r);
+     count ".dup_acks" (fun () -> Tcp.Receiver.dup_acks_sent r)
    | None -> ());
-  let cuts = copt registry (pfx ^ ".cwnd_cuts") in
-  let touts = copt registry (pfx ^ ".timeouts") in
-  let frexmt = copt registry (pfx ^ ".fast_rexmt") in
-  let sends = copt registry (pfx ^ ".sends") in
-  let acks = copt registry (pfx ^ ".acks") in
-  let delacks = copt registry (pfx ^ ".delayed_acks") in
-  let dupacks = copt registry (pfx ^ ".dup_acks") in
-  (* cwnd is covered by a snapshot-time gauge; the hook serves tracing
-     and the per-flow extrema. *)
-  (match (tr, fs) with
-   | (None, None) -> ()
-   | _ ->
-     Tcp.Sender.on_cwnd s (fun time ~cwnd ~ssthresh ->
-         (match fs with
-          | Some fs -> Flowstats.record_cwnd fs ~conn:cid ~cwnd
-          | None -> ());
-         emit tr time (Event.Cwnd { conn = cid; cwnd; ssthresh })));
-  Tcp.Sender.on_loss s (fun time reason ->
-      bump cuts;
-      (match reason with
-       | Tcp.Sender.Timeout -> bump touts
-       | Tcp.Sender.Dup_ack -> bump frexmt);
-      (match fs with
-       | Some fs -> Flowstats.record_loss fs ~conn:cid
-       | None -> ());
-      emit tr time
-        (Event.Loss
-           { conn = cid;
-             reason =
-               (match reason with
-                | Tcp.Sender.Timeout -> "timeout"
-                | Tcp.Sender.Dup_ack -> "dup_ack");
-           }));
-  Tcp.Sender.on_send s (fun time pkt ->
-      bump sends;
-      (match fs with
-       | Some fs ->
-         Flowstats.record_send fs ~time ~conn:cid ~seq:pkt.Net.Packet.seq
-           ~retransmit:pkt.Net.Packet.retransmit
-       | None -> ());
-      emit tr time (Event.Send { conn = cid; pkt }));
-  Tcp.Receiver.on_ack_sent r (fun time ~ackno ~delayed ~dup ->
-      bump acks;
-      if delayed then bump delacks;
-      if dup then bump dupacks;
-      emit tr time (Event.Ack_tx { conn = cid; ackno; delayed; dup }))
+  if tr <> None || fs <> None then begin
+    Tcp.Sender.on_cwnd s (fun time ~cwnd ~ssthresh ->
+        (match fs with
+         | Some fs -> Flowstats.record_cwnd fs ~conn:cid ~cwnd
+         | None -> ());
+        emit tr time (Event.Cwnd { conn = cid; cwnd; ssthresh }));
+    Tcp.Sender.on_loss s (fun time reason ->
+        (match fs with
+         | Some fs -> Flowstats.record_loss fs ~conn:cid
+         | None -> ());
+        emit tr time
+          (Event.Loss
+             { conn = cid;
+               reason =
+                 (match reason with
+                  | Tcp.Sender.Timeout -> "timeout"
+                  | Tcp.Sender.Dup_ack -> "dup_ack");
+             }));
+    Tcp.Sender.on_send s (fun time pkt ->
+        (match fs with
+         | Some fs ->
+           Flowstats.record_send fs ~time ~conn:cid ~seq:pkt.Net.Packet.seq
+             ~retransmit:pkt.Net.Packet.retransmit
+         | None -> ());
+        emit tr time (Event.Send { conn = cid; pkt }))
+  end;
+  match tr with
+  | None -> ()
+  | Some tr ->
+    Tcp.Receiver.on_ack_sent r (fun time ~ackno ~delayed ~dup ->
+        Tracer.emit tr ~time (Event.Ack_tx { conn = cid; ackno; delayed; dup }))
 
 let attach setup ~net ~conns =
   let sim = Net.Network.sim net in
@@ -174,19 +164,18 @@ let attach setup ~net ~conns =
   let registry = if setup.metrics then Some (Metrics.create ()) else None in
   (match registry with
    | Some reg ->
-     Metrics.gauge_fn reg "sim.events" (fun () ->
-         float_of_int (Engine.Sim.events_run sim));
-     Metrics.gauge_fn reg "sim.queue_depth" (fun () ->
-         float_of_int (Engine.Sim.queue_length sim))
+     count reg "sim.events" (fun () -> Engine.Sim.events_run sim);
+     count reg "sim.queue_depth" (fun () -> Engine.Sim.queue_length sim);
+     count reg "net.injected" (fun () -> Net.Network.injected net);
+     count reg "net.delivered" (fun () -> Net.Network.delivered net)
    | None -> ());
-  let injected = copt registry "net.injected" in
-  let delivered = copt registry "net.delivered" in
-  if registry <> None || tr <> None || fs <> None then begin
-    Net.Network.on_inject net (fun time p ->
-        bump injected;
-        emit tr time (Event.Inject p));
+  (match tr with
+   | Some tr ->
+     Net.Network.on_inject net (fun time p ->
+         Tracer.emit tr ~time (Event.Inject p))
+   | None -> ());
+  if tr <> None || fs <> None then
     Net.Network.on_deliver net (fun time p ->
-        bump delivered;
         (match fs with
          | Some fs -> (
            (* Stamp with [Sim.now] like the tracer does, so the offline
@@ -200,9 +189,8 @@ let attach setup ~net ~conns =
                ~conn:p.Net.Packet.conn ~ackno:p.Net.Packet.seq)
          | None -> ());
         emit tr time (Event.Deliver p));
-    List.iter (wire_link ~sim ~registry ~tr) (Net.Network.links net);
-    List.iter (wire_conn ~registry ~tr ~fs) conns
-  end;
+  List.iter (wire_link ~sim ~registry ~tr) (Net.Network.links net);
+  List.iter (wire_conn ~registry ~tr ~fs) conns;
   (* The recorder snapshots whatever is registered at creation time, so it
      must come after all of the wiring above. *)
   let recorder =
@@ -242,8 +230,6 @@ let arm_report t report =
       end)
 
 let finish t = match t.tr with Some tr -> Tracer.finish tr | None -> ()
-let metrics t = t.registry
-let tracer t = t.tr
 let flowstats t = t.fs
 
 let final_metrics t =

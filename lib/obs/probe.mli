@@ -1,20 +1,27 @@
 (** Probe: wires the observability pillars ({!Metrics}, {!Tracer},
-    {!Flight}) into a live simulation through the model's existing
-    monitor hooks.
+    {!Flight}, {!Flowstats}) into a live simulation.
 
-    A probe is configured with a {!setup} value and attached once, after
-    the network and connections exist but before [Sim.run].  The probe
-    only installs a hook when at least one consumer (metrics registry or
-    trace sink) wants the corresponding events, so a disabled pillar
-    costs nothing — not even an empty-closure call, because the model's
-    hook lists stay empty and the zero-hook fast path is taken. *)
+    Metrics are pulled: every count metric is a gauge reading a counter
+    the model already keeps ([Net.Link.counters], the sender's and
+    receiver's tallies, [Net.Network.injected]/[delivered]) at snapshot
+    time.  The counts are therefore cumulative from the model's
+    creation, not from [attach]: attach once, after the network and
+    connections exist but before [Sim.run], as [Core.Runner.run] does.
+
+    A hook is installed only where a consumer needs every event — the
+    tracer, the per-flow registry, or a link's queue-length histogram —
+    so a metrics-only probe installs one [on_enqueue] hook per link and
+    no network, sender or receiver hook, and a disabled pillar costs
+    nothing: the model's hook lists stay empty and the zero-hook fast
+    path is taken. *)
 
 type setup
 
 (** Build a configuration.
 
-    - [metrics] (default [true]): register counters / gauges /
-      histograms for the simulator, every link, and every connection.
+    - [metrics] (default [true]): register gauges and queue-length
+      histograms for the simulator, the network, every link, and every
+      connection.
     - [series_dt]: additionally sample every metric each [series_dt]
       simulated seconds into step series (see {!Metrics.record}).
     - [btrace]: binary trace sink (see {!Tracer.create}); convert
@@ -22,7 +29,7 @@ type setup
     - [flight]: keep a flight-recorder ring of the last [n] events.
     - [flight_sink] (default stderr): where {!dump_flight} writes.
     - [flowstats] (default [false]): per-flow accounting registry
-      ({!Flowstats}) fed from the same hooks; zero cost when off. *)
+      ({!Flowstats}) fed from the model's hooks; zero cost when off. *)
 val setup :
   ?metrics:bool ->
   ?series_dt:float ->
@@ -41,7 +48,7 @@ val is_enabled : setup -> bool
 
 type t
 
-(** Install hooks per the setup.  [conns] pairs each connection id with
+(** Register metrics and install hooks per the setup.  [conns] pairs each connection id with
     its connection; ids are used in metric names and trace tracks. *)
 val attach :
   setup -> net:Net.Network.t -> conns:(int * Tcp.Connection.t) list -> t
@@ -61,10 +68,7 @@ val flight_text : t -> reason:string -> string option
     on both success and exception paths of {!Core.Runner.run}. *)
 val finish : t -> unit
 
-val metrics : t -> Metrics.t option
-val tracer : t -> Tracer.t option
 val flowstats : t -> Flowstats.t option
-val flight : t -> Tracer.flight_record Flight.t option
 
 (** Final scalar snapshot of every metric ([[]] without a registry). *)
 val final_metrics : t -> (string * float) list

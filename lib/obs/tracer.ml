@@ -36,9 +36,6 @@ let declare_link t link =
   | Some w -> Btrace.declare_link w link
   | None -> ()
 
-let declare_conn t conn =
-  match t.writer with Some w -> Btrace.declare_conn w conn | None -> ()
-
 let declare_conn_meta t conn ~start_time ~flow_size =
   match t.writer with
   | Some w -> Btrace.declare_conn_meta w conn ~start_time ~flow_size

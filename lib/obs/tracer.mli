@@ -30,11 +30,9 @@ val create :
     are emitted. *)
 val declare_link : t -> Net.Link.t -> unit
 
-val declare_conn : t -> int -> unit
-
-(** Like {!declare_conn}, but writes a conn-meta record carrying the
-    flow's start time and size, which offline analytics
-    ([netsim trace stats]) recover. *)
+(** Declare a connection with a conn-meta record carrying the flow's
+    start time and size, which offline analytics ([netsim trace stats])
+    recover. *)
 val declare_conn_meta :
   t -> int -> start_time:float -> flow_size:int option -> unit
 

@@ -2,7 +2,8 @@
    scenarios and the §5 chain (validation on) and prints a digest of
    each — drop count, utilizations, final congestion windows or
    deliveries, and an MD5 checksum over every full bottleneck queue
-   series.
+   series.  A last section pins the observability metrics of a faulty
+   run: the final snapshot JSON and an MD5 over its 1 Hz series.
 
    The output is diffed against the committed [golden.digest] by the
    [runtest] alias; an intentional behaviour change is accepted with
@@ -73,6 +74,51 @@ let multihop_digest () =
     r.Core.Runner.conns;
   print_newline ()
 
+(* Two-way traffic with delayed ACKs through Random Drop gateways, with
+   loss, duplication, jitter and an outage on both bottlenecks: every
+   count metric (faults and delayed ACKs included) moves. *)
+let metrics_digest () =
+  let open Core.Scenario in
+  let spec =
+    Faults.Spec.make ~loss:(Faults.Spec.Bernoulli 0.01)
+      ~outage:{ Faults.Spec.windows = [ (30., 32.) ]; flap = None }
+      ~jitter:{ Faults.Spec.bound = 0.002; preserve_order = true }
+      ~duplicate:0.01 ()
+  in
+  let scenario =
+    make ~name:"metrics" ~tau:0.01 ~buffer:(Some 20)
+      ~gateway:(Net.Discipline.Random_drop { seed = 7 })
+      ~conns:
+        (stagger ~step:1.5
+           [
+             conn ~delayed_ack:true Forward;
+             conn ~delayed_ack:true Forward;
+             conn ~delayed_ack:true Reverse;
+           ])
+      ~duration:60. ~warmup:20. ~validate:true
+      ~faults:[ (Fwd_bottleneck, spec); (Bwd_bottleneck, spec) ]
+      ~fault_seed:3 ()
+  in
+  let r =
+    Core.Runner.run ~obs:(Obs.Probe.setup ~series_dt:1.0 ()) scenario
+  in
+  check_clean r;
+  let probe = Option.get r.Core.Runner.obs in
+  print_endline "[metrics]";
+  Printf.printf "final = %s\n" (Obs.Probe.metrics_json probe);
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, s) ->
+      Buffer.add_string buf name;
+      Buffer.add_char buf '=';
+      Buffer.add_string buf (series_checksum s);
+      Buffer.add_char buf ';')
+    (Obs.Probe.series probe);
+  Printf.printf "series = %d\n" (List.length (Obs.Probe.series probe));
+  Printf.printf "series_md5 = %s\n"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  print_newline ()
+
 let () =
   let open Core.Scenario in
   (* The paper's baseline: one connection over the long-wire dumbbell. *)
@@ -86,4 +132,5 @@ let () =
     (make ~name:"two-way" ~tau:0.01 ~buffer:(Some 20)
        ~conns:(stagger ~step:2. [ conn Forward; conn Reverse ])
        ~duration:120. ~warmup:40. ~validate:true ());
-  multihop_digest ()
+  multihop_digest ();
+  metrics_digest ()

@@ -1,9 +1,10 @@
 (* Validated CLI numeric parsing (lib/core/args.ml): [float_of_string]
    accepts "nan", "inf" and negatives where netsim flags mean durations,
-   rates or probabilities.  Every numeric flag in bin/netsim.ml routes
-   through [Args.parse_float]; this suite pins the check semantics and
-   walks the flag table so a new flag added without validation shows up
-   as a missing row here. *)
+   rates or probabilities, and a negative count or size used to crash
+   the model with an internal error.  Every numeric flag in
+   bin/netsim.ml routes through [Args.parse_float] or [Args.parse_int];
+   this suite pins the check semantics and walks the flag tables so a new
+   flag added without validation shows up as a missing row here. *)
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -99,6 +100,69 @@ let test_per_flag_rejection () =
         [ "nan"; "inf"; "-inf"; "-1"; "x" ])
     flag_table
 
+(* Integer flags: counts, sizes and windows.  Each row lists the values
+   the flag must reject besides the malformed ones shared by all rows. *)
+let int_flag_table =
+  [
+    ("--fwd", Core.Args.Non_negative, "1", [ "-1" ]);
+    ("--rev", Core.Args.Non_negative, "0", [ "-2" ]);
+    ("--fixed", Core.Args.Positive, "30", [ "0"; "-2" ]);
+    ("--flow-size", Core.Args.Positive, "100", [ "0"; "-3" ]);
+    ("--ack-size", Core.Args.Non_negative, "0", [ "-10" ]);
+    ("--max-events", Core.Args.Non_negative, "20000", [ "-5" ]);
+    ("--flight-recorder", Core.Args.Non_negative, "64", [ "-3" ]);
+  ]
+
+let test_per_int_flag_rejection () =
+  List.iter
+    (fun (flag, check, good, bad_values) ->
+      (match Core.Args.parse_int ~what:flag check good with
+       | Ok _ -> ()
+       | Error msg -> Alcotest.failf "%s rejects %s: %s" flag good msg);
+      List.iter
+        (fun bad ->
+          match Core.Args.parse_int ~what:flag check bad with
+          | Ok v -> Alcotest.failf "%s accepted %s (as %d)" flag bad v
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s error names the flag for %s" flag bad)
+              true (contains msg flag))
+        (bad_values @ [ "x"; "1.5"; "nan"; "" ]))
+    int_flag_table;
+  match Core.Args.parse_int ~what:"--fwd" Core.Args.Non_negative "-1" with
+  | Ok _ -> Alcotest.fail "negative count accepted"
+  | Error msg ->
+    Alcotest.(check string) "message" "--fwd must be an integer >= 0 (got -1)"
+      msg
+
+(* End to end: each bad integer flag is a usage error (cmdliner's exit
+   124) raised at parse time, not an internal error (125) from deep in
+   the model. *)
+let test_bad_int_flags_exit_124 () =
+  let netsim =
+    match Test_domain_safety.netsim with
+    | Some p when Sys.os_type = "Unix" -> p
+    | _ -> Alcotest.skip ()
+  in
+  List.iter
+    (fun flag ->
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process netsim
+          [| netsim; "run"; "--duration"; "5"; "--warmup"; "1"; flag |]
+          Unix.stdin null null
+      in
+      Unix.close null;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED code ->
+        Alcotest.(check int) (flag ^ " exits with a usage error") 124 code
+      | _ -> Alcotest.failf "%s: netsim killed by a signal" flag)
+    [
+      "--fwd=-1"; "--rev=-2"; "--fixed=0,5"; "--fixed=-2,5"; "--flow-size=0";
+      "--flow-size=-3"; "--ack-size=-10"; "--max-events=-5";
+      "--flight-recorder=-3";
+    ]
+
 let suite =
   ( "args",
     [
@@ -109,4 +173,8 @@ let suite =
         test_error_messages;
       Alcotest.test_case "every numeric flag rejects nan/inf/negative" `Quick
         test_per_flag_rejection;
+      Alcotest.test_case "every integer flag rejects out-of-range values"
+        `Quick test_per_int_flag_rejection;
+      Alcotest.test_case "bad integer flags exit 124, not 125" `Quick
+        test_bad_int_flags_exit_124;
     ] )

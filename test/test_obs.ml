@@ -3,8 +3,9 @@
 
    The two integration statements that matter most:
      - the binary trace of a run decodes cleanly, its JSONL export is
-       valid (parseable, monotone timestamps) and its event counts agree
-       exactly with the metrics counters incremented by the same hooks;
+       valid (parseable, monotone timestamps), and every count metric —
+       read at snapshot time from the model's own counters — equals the
+       number of matching events in the trace, over random scenarios;
      - attaching the full probe does not change simulation results
        (byte-identical traces), checked over random scenarios.
 
@@ -29,20 +30,23 @@ let count_occurrences haystack needle =
 
 let test_metrics_basic () =
   let reg = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter reg "events" in
-  let g = Obs.Metrics.gauge reg "depth" in
+  let events = ref 0 and depth = ref 0. in
+  Obs.Metrics.gauge_fn reg "events" (fun () -> float_of_int !events);
+  Obs.Metrics.gauge_fn reg "depth" (fun () -> !depth);
   Obs.Metrics.gauge_fn reg "derived" (fun () -> 42.5);
-  Obs.Metrics.incr c;
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 3;
-  Obs.Metrics.set g 7.25;
-  Alcotest.(check int) "counter value" 5 (Obs.Metrics.counter_value c);
-  Alcotest.(check (float 0.)) "gauge value" 7.25 (Obs.Metrics.gauge_value g);
+  (* Gauges are pulled: state changed after registration shows up in
+     the next snapshot, with nothing pushed into the registry. *)
+  events := 5;
+  depth := 7.25;
   Alcotest.(check int) "size" 3 (Obs.Metrics.size reg);
   Alcotest.(check (list (pair string (float 0.))))
     "snapshot in registration order"
     [ ("events", 5.); ("depth", 7.25); ("derived", 42.5) ]
     (Obs.Metrics.snapshot reg);
+  incr events;
+  Alcotest.(check (option (float 0.)))
+    "each snapshot reads afresh" (Some 6.)
+    (Obs.Metrics.find reg "events");
   Alcotest.(check (option (float 0.)))
     "find" (Some 7.25)
     (Obs.Metrics.find reg "depth");
@@ -51,10 +55,14 @@ let test_metrics_basic () =
 
 let test_metrics_duplicate_name () =
   let reg = Obs.Metrics.create () in
-  ignore (Obs.Metrics.counter reg "x" : Obs.Metrics.counter);
+  Obs.Metrics.gauge_fn reg "x" (fun () -> 0.);
   Alcotest.check_raises "duplicate registration rejected"
     (Invalid_argument "Metrics: duplicate metric \"x\"") (fun () ->
-      ignore (Obs.Metrics.gauge reg "x" : Obs.Metrics.gauge))
+      Obs.Metrics.gauge_fn reg "x" (fun () -> 1.));
+  Alcotest.check_raises "histogram under a gauge's name rejected"
+    (Invalid_argument "Metrics: duplicate metric \"x\"") (fun () ->
+      ignore (Obs.Metrics.histogram reg "x" ~bounds:[| 1. |]
+        : Obs.Metrics.histogram))
 
 let test_metrics_histogram () =
   let reg = Obs.Metrics.create () in
@@ -79,8 +87,7 @@ let test_metrics_histogram () =
 
 let test_metrics_json () =
   let reg = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter reg "n" in
-  Obs.Metrics.add c 7;
+  Obs.Metrics.gauge_fn reg "n" (fun () -> 7.);
   Obs.Metrics.gauge_fn reg "frac" (fun () -> 0.125);
   let json = Obs.Metrics.to_json reg in
   (match Obs.Json.parse json with
@@ -98,15 +105,16 @@ let test_metrics_json () =
 let test_metrics_recorder () =
   let sim = Engine.Sim.create () in
   let reg = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter reg "ticks" in
+  let ticks = ref 0 in
+  Obs.Metrics.gauge_fn reg "ticks" (fun () -> float_of_int !ticks);
   Alcotest.check_raises "dt must be positive"
     (Invalid_argument "Metrics.record: dt must be positive") (fun () ->
       ignore (Obs.Metrics.record reg sim ~dt:0. : Obs.Metrics.recorder));
   let rec_ = Obs.Metrics.record reg sim ~dt:1. in
-  (* bump the counter at t = 0.5 and 1.5: samples at 0,1,2 see 0,1,2 *)
-  ignore (Engine.Sim.at sim ~time:0.5 (fun () -> Obs.Metrics.incr c)
+  (* bump the count at t = 0.5 and 1.5: samples at 0,1,2 see 0,1,2 *)
+  ignore (Engine.Sim.at sim ~time:0.5 (fun () -> incr ticks)
       : Engine.Sim.handle);
-  ignore (Engine.Sim.at sim ~time:1.5 (fun () -> Obs.Metrics.incr c)
+  ignore (Engine.Sim.at sim ~time:1.5 (fun () -> incr ticks)
       : Engine.Sim.handle);
   Engine.Sim.run sim ~until:2.0;
   match Obs.Metrics.recorder_series rec_ with
@@ -241,6 +249,88 @@ let two_way_scenario ?(validate = false) () =
       ]
     ~duration:20. ~warmup:1. ~validate ()
 
+(* The trace is an independent witness of every count metric: the
+   tracer sees each event through the model's hooks, the metrics read
+   the model's counters.  Expected values are tallied from the decoded
+   records under the metric names, then every count metric of every
+   link and connection is compared (a name missing from the tally means
+   zero events). *)
+let check_counts_against_trace (r : Core.Runner.result) probe items =
+  let expected = Hashtbl.create 64 in
+  let bump ?(by = 1) name =
+    Hashtbl.replace expected name
+      (by + Option.value ~default:0 (Hashtbl.find_opt expected name))
+  in
+  let link ?by l field = bump ?by ("link." ^ l.Obs.Btrace.link_name ^ field) in
+  let conn c field = bump (Printf.sprintf "conn.%d%s" c field) in
+  List.iter
+    (function
+      | Obs.Btrace.Event (_, ev) -> (
+        match ev with
+        | Obs.Btrace.Inject _ -> bump "net.injected"
+        | Deliver _ -> bump "net.delivered"
+        | Enqueue { link = l; _ } -> link l ".enq"
+        | Drop { link = l; _ } -> link l ".drop"
+        | Depart { link = l; pkt; _ } ->
+          link l ".dep";
+          link ~by:pkt.Obs.Btrace.size l ".dep_bytes"
+        | Fault { link = l; _ } -> link l ".faults"
+        | Send { conn = c; _ } -> conn c ".sends"
+        | Ack_tx { conn = c; delayed; dup; _ } ->
+          conn c ".acks";
+          if delayed then conn c ".delayed_acks";
+          if dup then conn c ".dup_acks"
+        | Loss { conn = c; reason } ->
+          conn c ".cwnd_cuts";
+          conn c (if reason = "timeout" then ".timeouts" else ".fast_rexmt")
+        | Cwnd _ -> ())
+      | _ -> ())
+    items;
+  let final = Obs.Probe.final_metrics probe in
+  let names =
+    [ "net.injected"; "net.delivered" ]
+    @ List.concat_map
+        (fun l ->
+          List.map
+            (fun f -> "link." ^ Net.Link.name l ^ f)
+            [ ".enq"; ".drop"; ".dep"; ".dep_bytes"; ".faults" ])
+        (Net.Network.links r.Core.Runner.dumbbell.Net.Topology.net)
+    @ List.concat_map
+        (fun i ->
+          List.map
+            (fun f -> Printf.sprintf "conn.%d%s" (i + 1) f)
+            [ ".sends"; ".acks"; ".delayed_acks"; ".dup_acks"; ".cwnd_cuts";
+              ".timeouts"; ".fast_rexmt" ])
+        (List.init (Array.length r.Core.Runner.conns) Fun.id)
+  in
+  List.iter
+    (fun name ->
+      let metric =
+        match List.assoc_opt name final with
+        | Some v -> int_of_float v
+        | None -> Alcotest.failf "metric %s missing" name
+      in
+      let events =
+        Option.value ~default:0 (Hashtbl.find_opt expected name)
+      in
+      if metric <> events then
+        Alcotest.failf "%s: metric %d, trace %d" name metric events)
+    names;
+  (* Every tallied name is one the metrics carry: no event kind slipped
+     past the comparison under an unexpected name. *)
+  Hashtbl.iter
+    (fun name _ ->
+      if not (List.mem name names) then
+        Alcotest.failf "trace counts %s, which no metric covers" name)
+    expected
+
+let decode_trace binary =
+  match Obs.Btrace.read binary with
+  | Error msg -> Alcotest.failf "binary trace unreadable: %s" msg
+  | Ok { Obs.Btrace.torn = Some msg; _ } ->
+    Alcotest.failf "flushed trace reports a torn tail: %s" msg
+  | Ok f -> f.Obs.Btrace.items
+
 let test_runner_without_obs () =
   let r = Core.Runner.run (two_way_scenario ()) in
   Alcotest.(check bool) "no probe by default" true (r.Core.Runner.obs = None)
@@ -260,13 +350,7 @@ let test_trace_matches_counters () =
    | _ -> ());
   (* The runner finished the probe, so the whole stream decodes with no
      torn tail; JSONL and chrome are rendered offline from the records. *)
-  let items =
-    match Obs.Btrace.read (Buffer.contents binary) with
-    | Error msg -> Alcotest.failf "binary trace unreadable: %s" msg
-    | Ok { Obs.Btrace.torn = Some msg; _ } ->
-      Alcotest.failf "flushed trace reports a torn tail: %s" msg
-    | Ok f -> f.Obs.Btrace.items
-  in
+  let items = decode_trace (Buffer.contents binary) in
   let jsonl = Buffer.create (1 lsl 16) in
   Obs.Btrace.export_jsonl items (Buffer.add_string jsonl);
   let chrome = Buffer.create (1 lsl 16) in
@@ -279,34 +363,13 @@ let test_trace_matches_counters () =
      Alcotest.(check int) "JSONL line count = events emitted"
        (Obs.Probe.events_traced probe) lines
    | Error msg -> Alcotest.failf "JSONL trace invalid: %s" msg);
-  (* The counters and the trace are fed by the same hooks: counts agree. *)
-  let metric name =
-    match Obs.Probe.final_metrics probe |> List.assoc_opt name with
-    | Some v -> int_of_float v
-    | None -> Alcotest.failf "metric %s missing" name
-  in
-  let ev name = count_occurrences text (Printf.sprintf "\"ev\":\"%s\"" name) in
-  Alcotest.(check int) "inject events = net.injected counter"
-    (metric "net.injected") (ev "inject");
-  Alcotest.(check int) "deliver events = net.delivered counter"
-    (metric "net.delivered") (ev "deliver");
-  let per_link field =
-    List.fold_left
-      (fun acc link -> acc + metric ("link." ^ Net.Link.name link ^ field))
-      0
-      (Net.Network.links r.Core.Runner.dumbbell.Net.Topology.net)
-  in
-  Alcotest.(check int) "enqueue events = sum of link enq counters"
-    (per_link ".enq") (ev "enqueue");
-  Alcotest.(check int) "drop events = sum of link drop counters"
-    (per_link ".drop") (ev "drop");
-  Alcotest.(check int) "depart events = sum of link dep counters"
-    (per_link ".dep") (ev "depart");
-  Alcotest.(check int) "ack_tx events = sum of conn ack counters"
-    (metric "conn.1.acks" + metric "conn.2.acks")
-    (ev "ack_tx");
+  (* The metrics read the model's counters, the trace its hooks: every
+     count agrees with its events. *)
+  check_counts_against_trace r probe items;
   Alcotest.(check bool) "dispatched events metric is live" true
-    (metric "sim.events" > 0);
+    (match List.assoc_opt "sim.events" (Obs.Probe.final_metrics probe) with
+     | Some v -> v > 0.
+     | None -> false);
   (* The Chrome rendering of the same run is one valid JSON value. *)
   match Obs.Json.parse (Buffer.contents chrome) with
   | Error msg -> Alcotest.failf "chrome trace invalid: %s" msg
@@ -439,10 +502,111 @@ let prop_observation_transparent =
           (spec_print s);
       true)
 
+(* Random scenarios for the count differential: every gateway, three
+   fault mixes on both trunk-0 bottlenecks, delayed ACKs on or off, 1-4
+   connections each way, and a dumbbell or a 3-switch chain (with
+   connections spanning any contiguous stretch of it). *)
+type fault_mix = No_faults | Loss_dup | Outage_jitter
+
+type count_spec = {
+  c_gateway : Net.Discipline.kind;
+  c_faults : fault_mix;
+  c_delack : bool;
+  c_fwd : int;
+  c_rev : int;
+  c_switches : int;
+  c_spans : (int * int) list;
+  c_seed : int;
+}
+
+let count_spec_gen =
+  let open Gen in
+  let* c_gateway =
+    oneof
+      [
+        return Net.Discipline.Fifo;
+        map (fun seed -> Net.Discipline.Random_drop { seed }) (int_range 1 99);
+        return Net.Discipline.Fair_queue;
+      ]
+  in
+  let* c_faults = oneofl [ No_faults; Loss_dup; Outage_jitter ] in
+  let* c_delack = bool in
+  let* c_fwd = int_range 1 4 in
+  let* c_rev = int_range 1 4 in
+  let* c_switches = int_range 2 3 in
+  let span =
+    if c_switches = 2 then return (0, 1) else oneofl [ (0, 1); (1, 2); (0, 2) ]
+  in
+  let* c_spans = list_repeat (c_fwd + c_rev) span in
+  let* c_seed = int_range 1 1000 in
+  return
+    { c_gateway; c_faults; c_delack; c_fwd; c_rev; c_switches; c_spans; c_seed }
+
+let count_spec_print s =
+  Printf.sprintf
+    "{gateway=%s; faults=%s; delack=%b; fwd=%d; rev=%d; switches=%d; \
+     spans=[%s]; seed=%d}"
+    (Net.Discipline.kind_to_string s.c_gateway)
+    (match s.c_faults with
+     | No_faults -> "none"
+     | Loss_dup -> "loss+dup"
+     | Outage_jitter -> "outage+jitter")
+    s.c_delack s.c_fwd s.c_rev s.c_switches
+    (String.concat ";"
+       (List.map (fun (lo, hi) -> Printf.sprintf "%d-%d" lo hi) s.c_spans))
+    s.c_seed
+
+let scenario_of_count_spec s =
+  let open Core.Scenario in
+  let fault =
+    match s.c_faults with
+    | No_faults -> []
+    | Loss_dup ->
+      [ Faults.Spec.make ~loss:(Faults.Spec.Bernoulli 0.02) ~duplicate:0.02 () ]
+    | Outage_jitter ->
+      [
+        Faults.Spec.make
+          ~outage:{ Faults.Spec.windows = [ (8., 9.5) ]; flap = None }
+          ~jitter:{ Faults.Spec.bound = 0.003; preserve_order = false }
+          ();
+      ]
+  in
+  let dirs =
+    List.init s.c_fwd (fun _ -> Forward) @ List.init s.c_rev (fun _ -> Reverse)
+  in
+  make ~name:"obs-counts" ~num_switches:s.c_switches ~tau:0.01
+    ~buffer:(Some 12) ~gateway:s.c_gateway
+    ~conns:
+      (stagger ~step:0.7
+         (List.map2
+            (fun dir span -> conn ~delayed_ack:s.c_delack ~span dir)
+            dirs s.c_spans))
+    ~duration:20. ~warmup:5.
+    ~faults:
+      (List.concat_map
+         (fun f -> [ (Fwd_bottleneck, f); (Bwd_bottleneck, f) ])
+         fault)
+    ~fault_seed:s.c_seed ()
+
+let prop_counts_match_trace =
+  Test.make ~name:"every count metric equals its events in the trace"
+    ~count:30
+    (QCheck.make ~print:count_spec_print count_spec_gen)
+    (fun s ->
+      let binary = Buffer.create (1 lsl 16) in
+      let r =
+        Core.Runner.run
+          ~obs:(Obs.Probe.setup ~btrace:(Buffer.add_string binary) ())
+          (scenario_of_count_spec s)
+      in
+      check_counts_against_trace r (Option.get r.Core.Runner.obs)
+        (decode_trace (Buffer.contents binary));
+      true)
+
 let suite =
   ( "obs",
     [
-      Alcotest.test_case "metrics: counters, gauges, snapshot order" `Quick
+      Alcotest.test_case "metrics: pulled gauges, snapshot order" `Quick
         test_metrics_basic;
       Alcotest.test_case "metrics: duplicate names rejected" `Quick
         test_metrics_duplicate_name;
@@ -468,4 +632,5 @@ let suite =
       Alcotest.test_case "probe: flight recorder dumps on violation" `Quick
         test_flight_dump_on_violation;
       QCheck_alcotest.to_alcotest prop_observation_transparent;
+      QCheck_alcotest.to_alcotest prop_counts_match_trace;
     ] )
