@@ -698,7 +698,7 @@ let run_cmd =
   in
   let buffer =
     Arg.(
-      value & opt int 20
+      value & opt (checked_int ~what:"--buffer" Core.Args.Non_negative) 20
       & info [ "buffer" ] ~docv:"PKTS"
           ~doc:"Bottleneck buffer; 0 means infinite.")
   in
@@ -968,7 +968,8 @@ let sweep_cmd =
   let jobs =
     Arg.(
       value
-      & opt int (Sweep_pool.default_jobs ())
+      & opt (checked_int ~what:"--jobs" Core.Args.Positive)
+          (Sweep_pool.default_jobs ())
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Parallel workers — domains or processes, per $(b,--backend) \

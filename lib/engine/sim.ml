@@ -1,19 +1,32 @@
-(* The scheduler is an *indexed* binary min-heap over parallel arrays:
+(* The scheduler is an *indexed* binary min-heap over parallel flat
+   arrays:
 
-     times : float array     primary key (flat, unboxed)
+     times : float array     primary key (unboxed)
      seqs  : int array       tie-break key (insertion counter)
-     heap  : timer array     payloads; [heap.(i).pos = i] always
+     ids   : int array       payloads: the id of the timer in the slot
 
-   Every scheduled obligation — a one-shot closure from [schedule]/[at]
-   or a reusable [Timer] — is a [timer] record that knows its own heap
-   index, so cancel and re-arm are O(log n) in-place operations that
-   produce no garbage: no closure, no handle record, no heap entry is
-   allocated on the per-event hot path.  Re-arming assigns a fresh
-   sequence number at the call site, exactly as cancel+schedule used to,
-   so (time, seq) delivery order — and with it every golden trace — is
-   unchanged.  Cancelled timers leave the heap immediately, which also
-   retires the old lazy-compaction machinery: [queue_length] is now the
-   exact live event count.
+   and a registry [timers : timer array] mapping an id back to its
+   timer, which records its own heap index ([timers.(ids.(i)).pos = i]
+   always).  Every scheduled obligation — a one-shot closure from
+   [schedule]/[at] or a reusable [Timer] — is such a timer, so cancel
+   and re-arm are O(log n) in-place operations that produce no garbage.
+
+   The heap holds ids rather than the timers themselves because OCaml 5
+   pays a write barrier ([caml_modify]) for every pointer stored into a
+   block of the major heap, and the heap arrays of a long run live
+   there: a sift level that moved timer pointers would pay two barriers,
+   each several times the cost of an int store.  Moving ids, times and
+   seqs stores only ints and floats.  The registry is written only when
+   an id changes hands: a persistent [Timer] takes an id at its first
+   arming and keeps it; a one-shot takes one when scheduled and gives it
+   back when it fires or is cancelled, and released ids are reused, so
+   the registry is as large as the peak number of timers that hold one.
+
+   Arming takes a fresh sequence number at the call site, and re-arming
+   an armed timer takes one too, exactly as cancel+schedule would, so
+   (time, seq) delivery order — and with it every golden trace — does
+   not depend on any of this.  Cancelled timers leave the heap
+   immediately: [queue_length] is the exact live event count.
 
    The clock lives in a 1-element float array rather than a mutable
    float field: a float field of a mixed record is boxed, so assigning
@@ -24,19 +37,25 @@ type t = {
   mutable executed : int;
   mutable times : float array;
   mutable seqs : int array;
-  mutable heap : timer array;
+  mutable ids : int array;
   mutable size : int;
   mutable next_seq : int;
   mutable observers : (float -> unit) list;  (* in registration order *)
+  mutable timers : timer array;  (* id -> timer; [sentinel] when unused *)
+  mutable issued : int;  (* ids handed out so far: [timers.(0 .. issued-1)] *)
+  mutable free_ids : int array;  (* stack of released one-shot ids *)
+  mutable n_free : int;
   sentinel : timer;
-      (* fills vacated heap slots so popped timers (and the closures they
-         carry) are collectable immediately, not when the slot is reused *)
+      (* fills released registry slots so a fired one-shot (and the
+         closure it carries) is collectable immediately *)
 }
 
 and timer = {
   owner : t;
   mutable action : unit -> unit;
   mutable pos : int;  (* index into the heap arrays, or -1 when disarmed *)
+  mutable id : int;  (* registry id, or -1 while the timer holds none *)
+  oneshot : bool;  (* gives its id back when it fires or is cancelled *)
 }
 
 type handle = timer
@@ -50,13 +69,19 @@ let create () =
       executed = 0;
       times = [||];
       seqs = [||];
-      heap = [||];
+      ids = [||];
       size = 0;
       next_seq = 0;
       observers = [];
+      timers = [||];
+      issued = 0;
+      free_ids = [||];
+      n_free = 0;
       sentinel;
     }
-  and sentinel = { owner = t; action = nop; pos = -1 } in
+  and sentinel =
+    { owner = t; action = nop; pos = -1; id = -1; oneshot = false }
+  in
   t
 
 let[@inline] now t = t.clock.(0)
@@ -69,84 +94,140 @@ let queue_length t = t.size
 let on_event t f = t.observers <- t.observers @ [ f ]
 
 (* ------------------------------------------------------------------ *)
-(* Indexed heap plumbing                                               *)
+(* Timer registry                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let initial_capacity = 64
 
+let[@inline] next_capacity cap = if cap = 0 then initial_capacity else 2 * cap
+
+(* Give [tm] an id: a released one if there is one, else a fresh one. *)
+let acquire t tm =
+  let id =
+    if t.n_free > 0 then begin
+      t.n_free <- t.n_free - 1;
+      t.free_ids.(t.n_free)
+    end
+    else begin
+      let id = t.issued in
+      if id = Array.length t.timers then begin
+        let timers = Array.make (next_capacity id) t.sentinel in
+        Array.blit t.timers 0 timers 0 id;
+        t.timers <- timers
+      end;
+      t.issued <- id + 1;
+      id
+    end
+  in
+  t.timers.(id) <- tm;
+  tm.id <- id
+
+(* A one-shot's id returns to the free stack once the event has fired or
+   been cancelled; its handle keeps [pos = -1], so a late [cancel] on it
+   is a no-op even after another one-shot has taken the id. *)
+let release t tm =
+  let id = tm.id in
+  tm.id <- -1;
+  t.timers.(id) <- t.sentinel;
+  if t.n_free = Array.length t.free_ids then begin
+    let free = Array.make (next_capacity t.n_free) 0 in
+    Array.blit t.free_ids 0 free 0 t.n_free;
+    t.free_ids <- free
+  end;
+  t.free_ids.(t.n_free) <- id;
+  t.n_free <- t.n_free + 1
+
+(* ------------------------------------------------------------------ *)
+(* Indexed heap plumbing                                               *)
+(* ------------------------------------------------------------------ *)
+
 let grow t =
-  let cap = Array.length t.heap in
+  let cap = Array.length t.ids in
   if t.size = cap then begin
-    let ncap = if cap = 0 then initial_capacity else 2 * cap in
+    let ncap = next_capacity cap in
     let times = Array.make ncap 0. in
     let seqs = Array.make ncap 0 in
-    let heap = Array.make ncap t.sentinel in
+    let ids = Array.make ncap 0 in
     Array.blit t.times 0 times 0 t.size;
     Array.blit t.seqs 0 seqs 0 t.size;
-    Array.blit t.heap 0 heap 0 t.size;
+    Array.blit t.ids 0 ids 0 t.size;
     t.times <- times;
     t.seqs <- seqs;
-    t.heap <- heap
+    t.ids <- ids
   end
 
 let[@inline] entry_before t i j =
   let ti = t.times.(i) and tj = t.times.(j) in
   ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
 
-let[@inline] swap t i j =
-  let ti = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- ti;
-  let si = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- si;
-  let hi = t.heap.(i) and hj = t.heap.(j) in
-  t.heap.(i) <- hj;
-  t.heap.(j) <- hi;
-  hj.pos <- i;
-  hi.pos <- j
+(* Put entry (time, seq, id) into slot [i] and tell its timer. *)
+let[@inline] fill t i time seq id =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.ids.(i) <- id;
+  t.timers.(id).pos <- i
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_before t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* The sifts move a hole rather than swapping: the entry that started at
+   [i] is lifted out, the entries it passes shift one level, and it is
+   written once where it stops.  Keys are read into locals, so nothing
+   is boxed. *)
+let sift_up t i =
+  let times = t.times and seqs = t.seqs in
+  let time = times.(i) and seq = seqs.(i) and id = t.ids.(i) in
+  let hole = ref i in
+  let rising = ref true in
+  while !rising && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let tp = times.(parent) in
+    if time < tp || (time = tp && seq < seqs.(parent)) then begin
+      fill t !hole tp seqs.(parent) t.ids.(parent);
+      hole := parent
     end
-  end
+    else rising := false
+  done;
+  fill t !hole time seq id
 
-let rec sift_down t i =
-  let left = (2 * i) + 1 in
-  if left < t.size then begin
-    let smallest = if entry_before t left i then left else i in
-    let right = left + 1 in
-    let smallest =
-      if right < t.size && entry_before t right smallest then right
-      else smallest
-    in
-    if smallest <> i then begin
-      swap t smallest i;
-      sift_down t smallest
+let sift_down t i =
+  let times = t.times and seqs = t.seqs and size = t.size in
+  let time = times.(i) and seq = seqs.(i) and id = t.ids.(i) in
+  let hole = ref i in
+  let sinking = ref true in
+  while !sinking do
+    let left = (2 * !hole) + 1 in
+    if left >= size then sinking := false
+    else begin
+      let right = left + 1 in
+      let child =
+        if right < size && entry_before t right left then right else left
+      in
+      let tc = times.(child) in
+      if tc < time || (tc = time && seqs.(child) < seq) then begin
+        fill t !hole tc seqs.(child) t.ids.(child);
+        hole := child
+      end
+      else sinking := false
     end
-  end
+  done;
+  fill t !hole time seq id
 
-(* Insert a disarmed timer with a fresh sequence number. *)
-let arm t tm ~time =
+(* Insert a disarmed timer with a fresh sequence number.  Inlined, like
+   [rekey], so the float [time] computed by a caller in this module is
+   never boxed. *)
+let[@inline] arm t tm ~time =
+  if tm.id < 0 then acquire t tm;
   grow t;
   let i = t.size in
   t.size <- i + 1;
-  t.times.(i) <- time;
-  t.seqs.(i) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  t.heap.(i) <- tm;
-  tm.pos <- i;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  fill t i time seq tm.id;
   sift_up t i
 
 (* Re-key an armed timer in place.  The fresh seq is larger than every
    seq already in the heap, so when the time does not strictly decrease
    the entry can only sink; when it strictly decreases it can only
    rise (its new key is then strictly below both children's). *)
-let rekey t tm ~time =
+let[@inline] rekey t tm ~time =
   let i = tm.pos in
   let old_time = t.times.(i) in
   t.times.(i) <- time;
@@ -154,46 +235,34 @@ let rekey t tm ~time =
   t.next_seq <- t.next_seq + 1;
   if time < old_time then sift_up t i else sift_down t i
 
-(* Remove an armed timer: classic indexed-heap deletion (move the last
-   entry into the hole, then restore the heap property in whichever
-   direction it is violated). *)
-let remove t tm =
-  let i = tm.pos in
-  tm.pos <- -1;
+(* Move the last entry into slot [i] (now empty) and restore the heap
+   property in whichever direction it is violated. *)
+let refill t i =
   let last = t.size - 1 in
   t.size <- last;
   if i < last then begin
-    t.times.(i) <- t.times.(last);
-    t.seqs.(i) <- t.seqs.(last);
-    let moved = t.heap.(last) in
-    t.heap.(i) <- moved;
-    moved.pos <- i;
-    t.heap.(last) <- t.sentinel;
+    fill t i t.times.(last) t.seqs.(last) t.ids.(last);
     if i > 0 && entry_before t i ((i - 1) / 2) then sift_up t i
     else sift_down t i
   end
-  else t.heap.(last) <- t.sentinel
+
+(* Remove an armed timer. *)
+let remove t tm =
+  let i = tm.pos in
+  tm.pos <- -1;
+  refill t i;
+  if tm.oneshot then release t tm
 
 (* Remove and return the root.  The caller has already read its time. *)
 let pop_min t =
-  let tm = t.heap.(0) in
+  let tm = t.timers.(t.ids.(0)) in
   tm.pos <- -1;
-  let last = t.size - 1 in
-  t.size <- last;
-  if last > 0 then begin
-    t.times.(0) <- t.times.(last);
-    t.seqs.(0) <- t.seqs.(last);
-    let moved = t.heap.(last) in
-    t.heap.(0) <- moved;
-    moved.pos <- 0;
-    t.heap.(last) <- t.sentinel;
-    sift_down t 0
-  end
-  else t.heap.(last) <- t.sentinel;
+  refill t 0;
+  if tm.oneshot then release t tm;
   tm
 
 (* ------------------------------------------------------------------ *)
-(* One-shot scheduling (legacy closure API, built on the same timers)   *)
+(* One-shot scheduling (closure API, built on the same timers)         *)
 (* ------------------------------------------------------------------ *)
 
 let at t ~time f =
@@ -202,7 +271,7 @@ let at t ~time f =
     invalid_arg
       (Printf.sprintf "Sim.at: time %g is before current time %g" time
          t.clock.(0));
-  let tm = { owner = t; action = f; pos = -1 } in
+  let tm = { owner = t; action = f; pos = -1; id = -1; oneshot = true } in
   arm t tm ~time;
   tm
 
@@ -222,7 +291,8 @@ let pending tm = tm.pos >= 0
 module Timer = struct
   type timer = handle
 
-  let create owner action = { owner; action; pos = -1 }
+  let create owner action =
+    { owner; action; pos = -1; id = -1; oneshot = false }
   let set_action tm f = tm.action <- f
 
   let set_at tm ~time =

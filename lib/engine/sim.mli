@@ -7,7 +7,10 @@
     Internally every scheduled obligation is a slot in an indexed binary
     heap: cancelling removes it immediately and re-arming a {!Timer}
     re-keys it in place, so the per-event hot path performs no
-    allocation (see DESIGN.md, "hot-path allocation model").
+    allocation.  Heap slots hold int timer ids in flat arrays, so
+    reordering the heap stores only ints and floats and never pays
+    OCaml 5's write barrier; ids are recycled once a one-shot fires or
+    is cancelled (see DESIGN.md, "hot-path allocation model").
 
     {2 Error conventions}
 
@@ -51,7 +54,8 @@ val at : t -> time:float -> (unit -> unit) -> handle
 
 (** Cancel a scheduled event: it is removed from the event queue on the
     spot (O(log n), no garbage, no deferred compaction).  Cancelling an
-    already-run or already-cancelled event is a no-op. *)
+    already-run or already-cancelled event is a no-op, also after a
+    later event has reused its internal id. *)
 val cancel : handle -> unit
 
 (** Has this handle's event neither run nor been cancelled yet? *)

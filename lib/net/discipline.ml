@@ -7,8 +7,58 @@ let kind_to_string = function
 
 type outcome = Accepted | Rejected | Evicted of Packet.t
 
+(* FIFO storage for the single-queue disciplines: a ring buffer whose
+   capacity doubles when full.  Unlike [Queue.t] it allocates no cell per
+   packet; a vacated slot is reset to [Packet.none] so a departed packet
+   is not kept alive by the buffer. *)
+type ring = {
+  mutable buf : Packet.t array;  (* length is a power of two *)
+  mutable head : int;
+  mutable len : int;
+}
+
+let ring_create () = { buf = Array.make 16 Packet.none; head = 0; len = 0 }
+let[@inline] ring_slot r i = (r.head + i) land (Array.length r.buf - 1)
+
+let ring_push r p =
+  let cap = Array.length r.buf in
+  if r.len = cap then begin
+    let buf = Array.make (2 * cap) Packet.none in
+    for i = 0 to r.len - 1 do
+      buf.(i) <- r.buf.(ring_slot r i)
+    done;
+    r.buf <- buf;
+    r.head <- 0
+  end;
+  r.buf.(ring_slot r r.len) <- p;
+  r.len <- r.len + 1
+
+let ring_take r =
+  if r.len = 0 then Packet.none
+  else begin
+    let p = r.buf.(r.head) in
+    r.buf.(r.head) <- Packet.none;
+    r.head <- ring_slot r 1;
+    r.len <- r.len - 1;
+    p
+  end
+
+(* Remove the packet at position [idx] (0 = head), closing the gap by
+   shifting the packets behind it forward: O(n), order kept. *)
+let ring_remove_at r idx =
+  if idx < 0 || idx >= r.len then invalid_arg "Discipline.remove_at";
+  let victim = r.buf.(ring_slot r idx) in
+  for i = idx to r.len - 2 do
+    r.buf.(ring_slot r i) <- r.buf.(ring_slot r (i + 1))
+  done;
+  r.buf.(ring_slot r (r.len - 1)) <- Packet.none;
+  r.len <- r.len - 1;
+  victim
+
+let ring_to_list r = List.init r.len (fun i -> r.buf.(ring_slot r i))
+
 type state =
-  | Single of Packet.t Queue.t * Engine.Rng.t option
+  | Single of ring * Engine.Rng.t option
       (* Fifo when rng is None, Random_drop otherwise *)
   | Classes of {
       queues : (int, Packet.t Queue.t) Hashtbl.t;
@@ -25,9 +75,9 @@ let create kind ~capacity =
    | _ -> ());
   let state =
     match kind with
-    | Fifo -> Single (Queue.create (), None)
+    | Fifo -> Single (ring_create (), None)
     | Random_drop { seed } ->
-      Single (Queue.create (), Some (Engine.Rng.create ~seed))
+      Single (ring_create (), Some (Engine.Rng.create ~seed))
     | Fair_queue ->
       Classes { queues = Hashtbl.create 16; round = Queue.create (); stored = 0 }
   in
@@ -38,7 +88,7 @@ let capacity t = t.capacity
 
 let length t =
   match t.state with
-  | Single (q, _) -> Queue.length q
+  | Single (r, _) -> r.len
   | Classes c -> c.stored
 
 let is_empty t = length t = 0
@@ -95,9 +145,9 @@ let class_queue c conn =
 
 let enqueue t p ~in_service =
   match t.state with
-  | Single (q, rng) ->
+  | Single (r, rng) ->
     if not (full t ~in_service) then begin
-      Queue.push p q;
+      ring_push r p;
       Accepted
     end
     else begin
@@ -105,12 +155,12 @@ let enqueue t p ~in_service =
       | None -> Rejected  (* drop-tail *)
       | Some rng ->
         (* Random Drop: victim uniform over queued packets + the arrival. *)
-        let n = Queue.length q in
+        let n = r.len in
         let victim_idx = Engine.Rng.int rng ~bound:(n + 1) in
         if victim_idx = n then Rejected
         else begin
-          let victim = remove_at q victim_idx in
-          Queue.push p q;
+          let victim = ring_remove_at r victim_idx in
+          ring_push r p;
           Evicted victim
         end
     end
@@ -146,10 +196,10 @@ let enqueue t p ~in_service =
 
 let rec dequeue t =
   match t.state with
-  | Single (q, _) -> Queue.take_opt q
+  | Single (r, _) -> ring_take r
   | Classes c ->
     (match Queue.take_opt c.round with
-     | None -> None
+     | None -> Packet.none
      | Some conn ->
        (match Hashtbl.find_opt c.queues conn with
         | None -> dequeue t
@@ -159,11 +209,11 @@ let rec dequeue t =
            | Some p ->
              c.stored <- c.stored - 1;
              if not (Queue.is_empty q) then Queue.push conn c.round;
-             Some p)))
+             p)))
 
 let contents t =
   match t.state with
-  | Single (q, _) -> List.of_seq (Queue.to_seq q)
+  | Single (r, _) -> ring_to_list r
   | Classes c ->
     (* Round order, then each class front-to-back. *)
     let seen = Hashtbl.create 8 in

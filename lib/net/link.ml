@@ -24,11 +24,12 @@ type fault_plan = {
 
 (* The per-packet pipeline is closure-free: the transmitter is one
    persistent [Engine.Sim.Timer] re-armed per serialization, and
-   propagation deliveries come from a free-list of [deliv] cells, each
+   propagation deliveries come from a [Cell_pool] of [deliv] cells, each
    owning its own persistent timer and a packet slot.  Idle slots hold
    [Packet.none] (physical-equality sentinel) rather than an option so
-   the steady state allocates nothing.  The busy meter lives in a flat
-   float array because assigning a float field of a mixed record boxes. *)
+   the steady state allocates nothing.  The busy meter lives in a
+   flat float array because assigning a float field of a mixed record
+   boxes. *)
 type t = {
   sim : Engine.Sim.t;
   id : int;
@@ -55,15 +56,14 @@ type t = {
   mutable fault_hooks : (float -> fault_event -> Packet.t -> unit) list;
   mutable down : bool;
   tx_timer : Engine.Sim.Timer.timer;
-  mutable free_deliv : deliv;  (* free-list head; deliv_nil terminates *)
-  deliv_nil : deliv;
+  delivs : deliv Cell_pool.t;
   in_prop : (int, Packet.t * Engine.Sim.handle) Hashtbl.t;
 }
 
 and deliv = {
   d_timer : Engine.Sim.Timer.timer;
   mutable d_pkt : Packet.t;  (* == Packet.none when the cell is free *)
-  mutable d_next : deliv;  (* next free cell; the nil cell points to itself *)
+  d_index : int;  (* in [delivs] *)
 }
 
 let nop () = ()
@@ -76,10 +76,6 @@ let make ?(discipline = Discipline.Fifo) sim ~id ~name ~src ~dst ~bandwidth
   (match buffer with
    | Some b when b <= 0 -> invalid_arg "Link.create: buffer must be positive"
    | _ -> ());
-  let nil_timer = Engine.Sim.Timer.create sim nop in
-  let rec deliv_nil =
-    { d_timer = nil_timer; d_pkt = Packet.none; d_next = deliv_nil }
-  in
   {
     sim;
     id;
@@ -110,8 +106,7 @@ let make ?(discipline = Discipline.Fifo) sim ~id ~name ~src ~dst ~bandwidth
     fault_hooks = [];
     down = false;
     tx_timer = Engine.Sim.Timer.create sim nop;
-    free_deliv = deliv_nil;
-    deliv_nil;
+    delivs = Cell_pool.create ();
     in_prop = Hashtbl.create 16;
   }
 
@@ -193,36 +188,26 @@ let count_drop t (p : Packet.t) =
   | Packet.Data -> t.counters.drop_data <- t.counters.drop_data + 1
   | Packet.Ack -> t.counters.drop_ack <- t.counters.drop_ack + 1
 
-(* Take a delivery cell from the free-list, growing the pool on demand
-   (the pool high-water mark is the peak number of packets concurrently
-   in propagation). *)
-let alloc_deliv t =
-  let d = t.free_deliv in
-  if d != t.deliv_nil then begin
-    t.free_deliv <- d.d_next;
-    d.d_next <- t.deliv_nil;
-    d
-  end
-  else begin
-    let tm = Engine.Sim.Timer.create t.sim nop in
-    let d = { d_timer = tm; d_pkt = Packet.none; d_next = t.deliv_nil } in
-    Engine.Sim.Timer.set_action tm (fun () ->
-        let p = d.d_pkt in
-        d.d_pkt <- Packet.none;
-        d.d_next <- t.free_deliv;
-        t.free_deliv <- d;
-        t.deliver p);
-    d
-  end
+(* A new delivery cell; the pool's high-water mark is the peak number of
+   packets concurrently in propagation. *)
+let new_deliv t i =
+  let tm = Engine.Sim.Timer.create t.sim nop in
+  let d = { d_timer = tm; d_pkt = Packet.none; d_index = i } in
+  Engine.Sim.Timer.set_action tm (fun () ->
+      let p = d.d_pkt in
+      d.d_pkt <- Packet.none;
+      Cell_pool.release t.delivs d.d_index;
+      t.deliver p);
+  d
 
 let rec maybe_start t =
   if t.in_service == Packet.none then
-    match Discipline.dequeue t.queue with
-    | None -> ()
-    | Some p ->
+    let p = Discipline.dequeue t.queue in
+    if p != Packet.none then begin
       t.in_service <- p;
       t.meter.(0) <- Engine.Sim.now t.sim;
       Engine.Sim.Timer.set t.tx_timer ~delay:(tx_time t ~bytes:p.Packet.size)
+    end
 
 and finish t =
   let p = t.in_service in
@@ -238,7 +223,7 @@ and finish t =
   fire_depart t p;
   (match t.faults with
    | None ->
-     let d = alloc_deliv t in
+     let d = Cell_pool.take t.delivs new_deliv t in
      d.d_pkt <- p;
      Engine.Sim.Timer.set d.d_timer ~delay:t.prop_delay
    | Some plan ->
@@ -332,11 +317,11 @@ let set_down t flag =
          fault_discard t p ~label:"outage"
        end);
       let rec drain () =
-        match Discipline.dequeue t.queue with
-        | Some p ->
+        let p = Discipline.dequeue t.queue in
+        if p != Packet.none then begin
           fault_discard t p ~label:"outage";
           drain ()
-        | None -> ()
+        end
       in
       drain ();
       let propagating =

@@ -6,19 +6,19 @@ type node = {
   kind : node_kind;
   proc_delay : float;
   mutable out : Link.t list;
-  routes : (int, Link.t) Hashtbl.t;
-  endpoints : (int, Packet.t -> unit) Hashtbl.t;
+  mutable routes : Link.t option array;  (* indexed by destination node *)
+  mutable endpoints : (Packet.t -> unit) option array;  (* indexed by conn *)
 }
 
-(* Host processing delays are modeled with a free-list of arrival cells,
-   each owning a persistent timer plus packet/handler slots, so per-packet
-   host processing schedules no closure and no handle (see Link's delivery
-   free-list for the same pattern on propagation). *)
+(* Host processing delays are modeled with a [Cell_pool] of arrival
+   cells, each owning a persistent timer plus packet/handler slots, so
+   per-packet host processing schedules no closure and no handle (see
+   Link's delivery pool for the same pattern on propagation). *)
 type arrival = {
   a_timer : Engine.Sim.Timer.timer;
   mutable a_pkt : Packet.t;  (* == Packet.none when the cell is free *)
   mutable a_handler : Packet.t -> unit;
-  mutable a_next : arrival;  (* next free cell; the nil cell points to itself *)
+  a_index : int;  (* in [arrivals] *)
 }
 
 type t = {
@@ -33,23 +33,13 @@ type t = {
   mutable deliver_hooks : (float -> Packet.t -> unit) list;
   mutable injected : int;
   mutable delivered : int;
-  mutable free_arrivals : arrival;  (* free-list head; arrival_nil ends it *)
-  arrival_nil : arrival;
+  arrivals : arrival Cell_pool.t;
 }
 
 let nop () = ()
 let no_handler (_ : Packet.t) = ()
 
 let create sim =
-  let nil_timer = Engine.Sim.Timer.create sim nop in
-  let rec arrival_nil =
-    {
-      a_timer = nil_timer;
-      a_pkt = Packet.none;
-      a_handler = no_handler;
-      a_next = arrival_nil;
-    }
-  in
   {
     sim;
     nodes = [];
@@ -62,8 +52,7 @@ let create sim =
     deliver_hooks = [];
     injected = 0;
     delivered = 0;
-    free_arrivals = arrival_nil;
-    arrival_nil;
+    arrivals = Cell_pool.create ();
   }
 
 let sim t = t.sim
@@ -114,8 +103,8 @@ let add_node t ~name ~kind ~proc_delay =
       kind;
       proc_delay;
       out = [];
-      routes = Hashtbl.create 8;
-      endpoints = Hashtbl.create 8;
+      routes = [||];
+      endpoints = [||];
     }
   in
   t.nodes <- n :: t.nodes;
@@ -137,44 +126,51 @@ let node_kind t id = (node t id).kind
 let links t = List.rev t.all_links
 let out_links t id = List.rev (node t id).out
 
-let set_route t ~node:n ~dst ~link = Hashtbl.replace (node t n).routes dst link
-let route t ~node:n ~dst = Hashtbl.find_opt (node t n).routes dst
+(* Slot [i] of a lookup table, or [None] when [i] is out of its range. *)
+let[@inline] lookup table i =
+  if i >= 0 && i < Array.length table then table.(i) else None
+
+(* [table] with slot [i] set to [v], grown (by doubling) to hold it. *)
+let store table i v =
+  let table =
+    if i < Array.length table then table
+    else begin
+      let bigger = Array.make (max (i + 1) (2 * Array.length table)) None in
+      Array.blit table 0 bigger 0 (Array.length table);
+      bigger
+    end
+  in
+  table.(i) <- Some v;
+  table
+
+let set_route t ~node:n ~dst ~link =
+  let n = node t n in
+  if dst < 0 then invalid_arg "Network.set_route: negative destination";
+  n.routes <- store n.routes dst link
+
+let route t ~node:n ~dst = lookup (node t n).routes dst
 
 let register_endpoint t ~host ~conn handler =
   let n = node t host in
   if n.kind <> Host then invalid_arg "Network.register_endpoint: not a host";
-  Hashtbl.replace n.endpoints conn handler
+  if conn < 0 then invalid_arg "Network.register_endpoint: negative conn";
+  n.endpoints <- store n.endpoints conn handler
 
-(* Take an arrival cell from the free-list, growing the pool on demand
-   (the high-water mark is the peak number of packets concurrently inside
-   host processing). *)
-let alloc_arrival t =
-  let a = t.free_arrivals in
-  if a != t.arrival_nil then begin
-    t.free_arrivals <- a.a_next;
-    a.a_next <- t.arrival_nil;
-    a
-  end
-  else begin
-    let tm = Engine.Sim.Timer.create t.sim nop in
-    let a =
-      {
-        a_timer = tm;
-        a_pkt = Packet.none;
-        a_handler = no_handler;
-        a_next = t.arrival_nil;
-      }
-    in
-    Engine.Sim.Timer.set_action tm (fun () ->
-        let p = a.a_pkt and h = a.a_handler in
-        a.a_pkt <- Packet.none;
-        a.a_handler <- no_handler;
-        a.a_next <- t.free_arrivals;
-        t.free_arrivals <- a;
-        fire_deliver t p;
-        h p);
-    a
-  end
+(* A new arrival cell; the pool's high-water mark is the peak number of
+   packets concurrently inside host processing. *)
+let new_arrival t i =
+  let tm = Engine.Sim.Timer.create t.sim nop in
+  let a =
+    { a_timer = tm; a_pkt = Packet.none; a_handler = no_handler; a_index = i }
+  in
+  Engine.Sim.Timer.set_action tm (fun () ->
+      let p = a.a_pkt and h = a.a_handler in
+      a.a_pkt <- Packet.none;
+      a.a_handler <- no_handler;
+      Cell_pool.release t.arrivals a.a_index;
+      fire_deliver t p;
+      h p);
+  a
 
 (* Packet arrival at a node, after the link's propagation delay. *)
 let rec arrive t node_id (p : Packet.t) =
@@ -187,7 +183,7 @@ let rec arrive t node_id (p : Packet.t) =
         (Printf.sprintf "Network: host %s received packet for node %d" n.name
            p.dst);
     let handler =
-      match Hashtbl.find_opt n.endpoints p.conn with
+      match lookup n.endpoints p.conn with
       | Some h -> h
       | None ->
         failwith
@@ -195,7 +191,7 @@ let rec arrive t node_id (p : Packet.t) =
              n.name)
     in
     if n.proc_delay > 0. then begin
-      let a = alloc_arrival t in
+      let a = Cell_pool.take t.arrivals new_arrival t in
       a.a_pkt <- p;
       a.a_handler <- handler;
       Engine.Sim.Timer.set a.a_timer ~delay:n.proc_delay
@@ -206,7 +202,7 @@ let rec arrive t node_id (p : Packet.t) =
     end
 
 and forward _t n (p : Packet.t) =
-  match Hashtbl.find_opt n.routes p.dst with
+  match lookup n.routes p.dst with
   | None ->
     failwith
       (Printf.sprintf "Network: switch %s has no route to node %d" n.name p.dst)
@@ -241,7 +237,7 @@ let add_duplex ?(discipline = Discipline.Fifo) t ~src ~dst ~bandwidth
 let send_from_host t ~host (p : Packet.t) =
   let n = node t host in
   if n.kind <> Host then invalid_arg "Network.send_from_host: not a host";
-  match Hashtbl.find_opt n.routes p.dst with
+  match lookup n.routes p.dst with
   | None ->
     failwith
       (Printf.sprintf "Network: host %s has no route to node %d" n.name p.dst)

@@ -50,14 +50,17 @@ val links : t -> Link.t list
 val out_links : t -> int -> Link.t list
 
 (** Install a route: at [node], packets destined for host [dst] leave on
-    [link]. *)
+    [link].  Routes are a table indexed by destination node id.
+    @raise Invalid_argument if [dst] is negative. *)
 val set_route : t -> node:int -> dst:int -> link:Link.t -> unit
 
 val route : t -> node:int -> dst:int -> Link.t option
 
 (** Register the transport endpoint for connection [conn] on host [host].
     Every packet of that connection arriving at the host is handed to
-    [handler] after the host's processing delay. *)
+    [handler] after the host's processing delay.  Endpoints are a table
+    indexed by connection id.
+    @raise Invalid_argument if [host] is a switch or [conn] is negative. *)
 val register_endpoint : t -> host:int -> conn:int -> (Packet.t -> unit) -> unit
 
 (** Inject a packet at its source host: it is routed onto the host's

@@ -12,8 +12,9 @@ type t = {
   retransmit : bool;
 }
 
-(* Sentinel for pooled slots (link transmitters, delivery free-lists):
-   compared with (==), never offered to a link or counted anywhere. *)
+(* Sentinel for pooled slots (link transmitters, delivery pools, ring
+   buffers) and the empty [Discipline.dequeue]: compared with (==), never
+   offered to a link or counted anywhere. *)
 let none =
   {
     id = -1;

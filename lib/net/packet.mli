@@ -21,7 +21,8 @@ type t = {
   retransmit : bool;  (** true if this data packet is a retransmission *)
 }
 
-(** Sentinel packet for pooled slots (physical-equality comparisons only).
+(** Sentinel packet for pooled slots and for "no packet" results such as
+    an empty {!Discipline.dequeue} (physical-equality comparisons only).
     Never transmit it or count it in any statistic. *)
 val none : t
 

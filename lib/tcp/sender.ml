@@ -198,15 +198,17 @@ and send_one t seq =
    | hooks ->
      let time = now t in
      List.iter (fun f -> f time p) hooks);
-  let inject () =
-    Net.Network.send_from_host t.net ~host:t.config.Config.src_host p
-  in
+  let host = t.config.Config.src_host in
   (* A constant per-connection skew stretches this sender's RTT without
-     reordering its packets (it models a longer access path). *)
+     reordering its packets (it models a longer access path).  Only then
+     does the injection need a closure. *)
   let skew = t.config.Config.rtt_skew in
   if skew > 0. then
-    ignore (Engine.Sim.schedule t.sim ~delay:skew inject : Engine.Sim.handle)
-  else inject ();
+    ignore
+      (Engine.Sim.schedule t.sim ~delay:skew (fun () ->
+           Net.Network.send_from_host t.net ~host p)
+        : Engine.Sim.handle)
+  else Net.Network.send_from_host t.net ~host p;
   if not (Engine.Sim.Timer.pending t.timer) then arm_timer t
 
 let create net config =

@@ -114,10 +114,20 @@ type drops = {
   mutable instant : float;
 }
 
+(* Packet ids are consecutive ints, so they are their own hash: the
+   table skips the C [caml_hash] call of the polymorphic one on every
+   trunk ACK.  ([Int.hash] would still call it, and needs OCaml 5.1.) *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
 (* ACK sojourns on one link.  Only ACKs enter the table, so it holds
    at most the ACKs in the buffer. *)
 type sojourn = {
-  entered : (int, float) Hashtbl.t;  (* ACK id -> enqueue time *)
+  entered : float Ids.t;  (* ACK id -> enqueue time *)
   sums : float array;  (* 0: sum; 1: sum before the latest instant; 2: latest instant *)
   mutable acks : int;
   mutable acks_before : int;
@@ -137,10 +147,10 @@ type t = {
 let is_ack (p : Net.Packet.t) = p.kind = Net.Packet.Ack
 
 let depart soj ~t0 time id =
-  match Hashtbl.find soj.entered id with
+  match Ids.find soj.entered id with
   | exception Not_found -> ()
   | entered ->
-    Hashtbl.remove soj.entered id;
+    Ids.remove soj.entered id;
     if time >= t0 then begin
       let s = soj.sums in
       if time > s.(2) then begin
@@ -154,7 +164,7 @@ let depart soj ~t0 time id =
 
 let watch_trunk link q soj ~t0 ~dt =
   Net.Link.on_enqueue link (fun time p qlen ->
-      if is_ack p then Hashtbl.replace soj.entered p.id time;
+      if is_ack p then Ids.replace soj.entered p.id time;
       sample q ~t0 ~dt time qlen);
   Net.Link.on_depart link (fun time p qlen ->
       if is_ack p then depart soj ~t0 time p.id;
@@ -163,7 +173,7 @@ let watch_trunk link q soj ~t0 ~dt =
      drop (rejection, eviction, ingress fault) leaves it as recorded. *)
   Net.Link.on_drop link (fun time p ->
       (* A random-drop or FQ eviction can remove a queued ACK. *)
-      if is_ack p then Hashtbl.remove soj.entered p.id;
+      if is_ack p then Ids.remove soj.entered p.id;
       let qlen = Net.Link.queue_length link in
       if qlen <> q.cur then sample q ~t0 ~dt time qlen)
 
@@ -175,7 +185,7 @@ let attach ~links ~fwd ~bwd ~t0 ~horizon ~dt =
       grid = { bytes = Bytes.empty; width = 1; len = 0 }; points }
   in
   let sojourn () =
-    { entered = Hashtbl.create 64; sums = [| 0.; 0.; neg_infinity |];
+    { entered = Ids.create 64; sums = [| 0.; 0.; neg_infinity |];
       acks = 0; acks_before = 0 }
   in
   let t =

@@ -111,6 +111,8 @@ let int_flag_table =
     ("--ack-size", Core.Args.Non_negative, "0", [ "-10" ]);
     ("--max-events", Core.Args.Non_negative, "20000", [ "-5" ]);
     ("--flight-recorder", Core.Args.Non_negative, "64", [ "-3" ]);
+    ("--buffer", Core.Args.Non_negative, "0", [ "-3" ]);
+    ("--jobs", Core.Args.Positive, "2", [ "0"; "-1" ]);
   ]
 
 let test_per_int_flag_rejection () =
@@ -144,24 +146,28 @@ let test_bad_int_flags_exit_124 () =
     | Some p when Sys.os_type = "Unix" -> p
     | _ -> Alcotest.skip ()
   in
+  let exits_124 args =
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process netsim (Array.of_list (netsim :: args)) Unix.stdin
+        null null
+    in
+    Unix.close null;
+    let flag = List.nth args (List.length args - 1) in
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED code ->
+      Alcotest.(check int) (flag ^ " exits with a usage error") 124 code
+    | _ -> Alcotest.failf "%s: netsim killed by a signal" flag
+  in
   List.iter
-    (fun flag ->
-      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pid =
-        Unix.create_process netsim
-          [| netsim; "run"; "--duration"; "5"; "--warmup"; "1"; flag |]
-          Unix.stdin null null
-      in
-      Unix.close null;
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED code ->
-        Alcotest.(check int) (flag ^ " exits with a usage error") 124 code
-      | _ -> Alcotest.failf "%s: netsim killed by a signal" flag)
+    (fun flag -> exits_124 [ "run"; "--duration"; "5"; "--warmup"; "1"; flag ])
     [
       "--fwd=-1"; "--rev=-2"; "--fixed=0,5"; "--fixed=-2,5"; "--flow-size=0";
       "--flow-size=-3"; "--ack-size=-10"; "--max-events=-5";
-      "--flight-recorder=-3";
-    ]
+      "--flight-recorder=-3"; "--buffer=-3";
+    ];
+  exits_124 [ "sweep"; "smoke"; "--quick"; "--jobs=-1" ];
+  exits_124 [ "sweep"; "smoke"; "--quick"; "--jobs=0" ]
 
 let suite =
   ( "args",

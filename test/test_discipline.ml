@@ -18,9 +18,8 @@ let seqs_of d =
 
 let drain d =
   let rec go acc =
-    match Discipline.dequeue d with
-    | None -> List.rev acc
-    | Some p -> go (p.Packet.seq :: acc)
+    let p = Discipline.dequeue d in
+    if p == Packet.none then List.rev acc else go (p.Packet.seq :: acc)
   in
   go []
 
@@ -170,13 +169,50 @@ let prop_fq_interleaves =
       in
       let conns =
         let rec go acc =
-          match Discipline.dequeue d with
-          | None -> List.rev acc
-          | Some p -> go (p.Packet.conn :: acc)
+          let p = Discipline.dequeue d in
+          if p == Packet.none then List.rev acc else go (p.Packet.conn :: acc)
         in
         go []
       in
       alternates 0 conns)
+
+(* The single-queue disciplines against a list model: random arrivals
+   and departures (enough of them to wrap the ring and grow it past its
+   first 16 slots), a Random Drop victim removed wherever it sat with
+   the order of the rest kept, and [contents]/[length]/[dequeue] agreeing
+   with the model after every step. *)
+let prop_single_queue_model =
+  QCheck.Test.make ~name:"fifo and random drop match a list model" ~count:200
+    QCheck.(pair bool (list (int_bound 3)))
+    (fun (random_drop, ops) ->
+      let kind =
+        if random_drop then Discipline.Random_drop { seed = 7 } else Discipline.Fifo
+      in
+      let d = Discipline.create kind ~capacity:(Some 40) in
+      let model = ref [] in
+      let next = ref 0 in
+      List.for_all
+        (fun op ->
+          (if op = 0 then begin
+             let p = Discipline.dequeue d in
+             match !model with
+             | [] -> assert (p == Packet.none)
+             | q :: rest ->
+               assert (p == q);
+               model := rest
+           end
+           else begin
+             let p = packet !next in
+             incr next;
+             match Discipline.enqueue d p ~in_service:0 with
+             | Discipline.Accepted -> model := !model @ [ p ]
+             | Discipline.Rejected -> ()
+             | Discipline.Evicted v ->
+               model := List.filter (fun q -> q != v) !model @ [ p ]
+           end);
+          Discipline.length d = List.length !model
+          && List.for_all2 ( == ) (Discipline.contents d) !model)
+        ops)
 
 let suite =
   ( "discipline",
@@ -195,4 +231,5 @@ let suite =
       Alcotest.test_case "kind to string" `Quick test_kind_to_string;
       QCheck_alcotest.to_alcotest prop_fq_conservation;
       QCheck_alcotest.to_alcotest prop_fq_interleaves;
+      QCheck_alcotest.to_alcotest prop_single_queue_model;
     ] )

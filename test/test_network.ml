@@ -66,15 +66,22 @@ let test_proc_delay_applied () =
   | Some t -> Alcotest.(check bool) "0.5s host processing" true (t >= 0.5)
   | None -> Alcotest.fail "not delivered"
 
+(* Endpoints are a table indexed by conn: an id past its end, a hole
+   inside it and a negative id must all fail as unknown. *)
 let test_missing_endpoint_fails () =
-  let sim, net, h1, h2, _ = tiny () in
-  let p =
-    Network.make_packet net ~conn:9 ~kind:Packet.Data ~seq:0 ~size:10 ~src:h1
-      ~dst:h2 ~retransmit:false
-  in
-  Network.send_from_host net ~host:h1 p;
-  let raised = try Sim.run sim ~until:1.; false with Failure _ -> true in
-  Alcotest.(check bool) "unknown conn raises" true raised
+  List.iter
+    (fun conn ->
+      let sim, net, h1, h2, _ = tiny () in
+      Network.register_endpoint net ~host:h2 ~conn:4 (fun _ -> ());
+      let p =
+        Network.make_packet net ~conn ~kind:Packet.Data ~seq:0 ~size:10 ~src:h1
+          ~dst:h2 ~retransmit:false
+      in
+      Network.send_from_host net ~host:h1 p;
+      let raised = try Sim.run sim ~until:1.; false with Failure _ -> true in
+      Alcotest.(check bool) (Printf.sprintf "unknown conn %d raises" conn) true
+        raised)
+    [ 9; 2; -1 ]
 
 let test_fresh_packet_ids () =
   let _, net, h1, h2, _ = tiny () in
@@ -103,7 +110,11 @@ let test_register_on_switch_rejected () =
       false
     with Invalid_argument _ -> true
   in
-  Alcotest.(check bool) "switches have no endpoints" true raised
+  Alcotest.(check bool) "switches have no endpoints" true raised;
+  let _, net, h1, _, _ = tiny () in
+  Alcotest.check_raises "negative conn"
+    (Invalid_argument "Network.register_endpoint: negative conn") (fun () ->
+      Network.register_endpoint net ~host:h1 ~conn:(-1) (fun _ -> ()))
 
 let suite =
   ( "network",

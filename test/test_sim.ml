@@ -388,6 +388,201 @@ let prop_timer_equivalence =
       pending_agree && !logA = !logB
       && Sim.events_run simA = Sim.events_run simB)
 
+(* A fired one-shot gives its registry id back, and the next one-shot
+   takes it; the old handle must stay dead — cancelling it later must
+   not touch the new event that now holds the same id. *)
+let test_cancel_fired_after_id_reuse () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let first = Sim.schedule sim ~delay:1. (fun () -> log := "first" :: !log) in
+  Sim.run sim ~until:1.;
+  let second = Sim.schedule sim ~delay:1. (fun () -> log := "second" :: !log) in
+  Sim.cancel first;
+  Alcotest.(check bool) "fired handle not pending" false (Sim.pending first);
+  Alcotest.(check bool) "new event still pending" true (Sim.pending second);
+  Alcotest.(check int) "queue keeps the new event" 1 (Sim.queue_length sim);
+  Sim.run_to_completion sim;
+  Alcotest.(check (list string)) "both fired once" [ "first"; "second" ]
+    (List.rev !log)
+
+(* An independent oracle for the heap: a reference scheduler kept as a
+   list sorted by (time, insertion counter), sharing no code with Sim.
+   Every arming — schedule, at, Timer.set, Timer.set_at, and each
+   re-arm — takes the next counter value, as Sim's sequence numbers do.
+   Random operations run against both; after every step the queue
+   length, events run and every handle's pending state must agree, and
+   at the end so must the fire logs.  Times sit on a half-integer grid
+   so that ties occur; "chain" one-shots schedule a follow-up from
+   inside their action, so ids are released and retaken mid-run; and
+   cancels pick among all handles ever made, fired ones included. *)
+module Ref_sched = struct
+  type owner = Oneshot of int | Timer of int  (* handle or timer index *)
+  type entry = { time : float; counter : int; owner : owner; chain : bool }
+
+  type t = {
+    mutable now : float;
+    mutable counter : int;
+    mutable queue : entry list;  (* sorted by (time, counter) *)
+    mutable ran : int;
+    mutable log : (owner * float) list;  (* newest first *)
+    mutable handles : int;  (* one-shot handles made so far *)
+  }
+
+  let create () =
+    { now = 0.; counter = 0; queue = []; ran = 0; log = []; handles = 0 }
+
+  let before a b = a.time < b.time || (a.time = b.time && a.counter < b.counter)
+
+  let rec insert e = function
+    | [] -> [ e ]
+    | x :: rest as l -> if before e x then e :: l else x :: insert e rest
+
+  let add t ~time owner ~chain =
+    let e = { time; counter = t.counter; owner; chain } in
+    t.counter <- t.counter + 1;
+    t.queue <- insert e t.queue
+
+  let remove t owner =
+    t.queue <- List.filter (fun e -> e.owner <> owner) t.queue
+  let pending t owner = List.exists (fun e -> e.owner = owner) t.queue
+
+  let oneshot t ~time ~chain =
+    let h = t.handles in
+    t.handles <- h + 1;
+    add t ~time (Oneshot h) ~chain
+
+  let set_timer t i ~time =
+    remove t (Timer i);
+    add t ~time (Timer i) ~chain:false
+
+  let run t ~until =
+    let rec go () =
+      match t.queue with
+      | e :: rest when e.time <= until ->
+        t.queue <- rest;
+        t.now <- e.time;
+        t.ran <- t.ran + 1;
+        t.log <- (e.owner, e.time) :: t.log;
+        if e.chain then oneshot t ~time:(e.time +. 0.5) ~chain:false;
+        go ()
+      | _ -> ()
+    in
+    go ();
+    t.now <- until
+end
+
+type heap_op =
+  | Op_schedule of float * bool  (* delay, chain *)
+  | Op_at of float
+  | Op_timer_set of int * float
+  | Op_timer_set_at of int * float
+  | Op_cancel of int  (* picks a handle made so far, modulo their number *)
+  | Op_timer_cancel of int
+  | Op_run of float
+
+let prop_heap_oracle =
+  let n_timers = 3 in
+  let half =
+    QCheck.Gen.map (fun k -> float_of_int k /. 2.) (QCheck.Gen.int_bound 8)
+  in
+  let timer = QCheck.Gen.int_bound (n_timers - 1) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun d c -> Op_schedule (d, c)) half bool);
+          (2, map (fun d -> Op_at d) half);
+          (3, map2 (fun i d -> Op_timer_set (i, d)) timer half);
+          (2, map2 (fun i d -> Op_timer_set_at (i, d)) timer half);
+          (3, map (fun j -> Op_cancel j) (int_bound 1000));
+          (1, map (fun i -> Op_timer_cancel i) timer);
+          (3, map (fun d -> Op_run d) half);
+        ])
+  in
+  let print = function
+    | Op_schedule (d, c) ->
+      Printf.sprintf "schedule %g%s" d (if c then " chain" else "")
+    | Op_at d -> Printf.sprintf "at now+%g" d
+    | Op_timer_set (i, d) -> Printf.sprintf "timer%d.set %g" i d
+    | Op_timer_set_at (i, d) -> Printf.sprintf "timer%d.set_at now+%g" i d
+    | Op_cancel j -> Printf.sprintf "cancel #%d" j
+    | Op_timer_cancel i -> Printf.sprintf "timer%d.cancel" i
+    | Op_run d -> Printf.sprintf "run +%g" d
+  in
+  QCheck.Test.make ~name:"heap agrees with a sorted-list reference scheduler"
+    ~count:500
+    (QCheck.make ~print:(QCheck.Print.list print)
+       QCheck.Gen.(list_size (int_bound 80) op))
+    (fun ops ->
+      let sim = Sim.create () and r = Ref_sched.create () in
+      let log = ref [] in
+      let note owner () = log := (owner, Sim.now sim) :: !log in
+      let handles = ref [||] in
+      let add_handle h = handles := Array.append !handles [| h |] in
+      (* The action of the next handle; a chained one schedules a plain
+         follow-up half a second later. *)
+      let rec action ~chain =
+        let idx = Array.length !handles in
+        fun () ->
+          note (Ref_sched.Oneshot idx) ();
+          if chain then
+            add_handle
+              (Sim.at sim ~time:(Sim.now sim +. 0.5) (action ~chain:false))
+      in
+      let timers =
+        Array.init n_timers (fun i ->
+            Sim.Timer.create sim (note (Ref_sched.Timer i)))
+      in
+      let agree () =
+        Sim.queue_length sim = List.length r.queue
+        && Sim.events_run sim = r.ran
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun j h -> Sim.pending h = Ref_sched.pending r (Oneshot j))
+                !handles)
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i tm ->
+                  Sim.Timer.pending tm = Ref_sched.pending r (Timer i))
+                timers)
+      in
+      let step = function
+        | Op_schedule (d, chain) ->
+          let time = Sim.now sim +. d in
+          add_handle (Sim.schedule sim ~delay:d (action ~chain));
+          Ref_sched.oneshot r ~time ~chain
+        | Op_at d ->
+          let time = Sim.now sim +. d in
+          add_handle (Sim.at sim ~time (action ~chain:false));
+          Ref_sched.oneshot r ~time ~chain:false
+        | Op_timer_set (i, d) ->
+          Sim.Timer.set timers.(i) ~delay:d;
+          Ref_sched.set_timer r i ~time:(r.now +. d)
+        | Op_timer_set_at (i, d) ->
+          let time = Sim.now sim +. d in
+          Sim.Timer.set_at timers.(i) ~time;
+          Ref_sched.set_timer r i ~time
+        | Op_cancel j ->
+          let n = Array.length !handles in
+          if n > 0 then begin
+            Sim.cancel !handles.(j mod n);
+            Ref_sched.remove r (Oneshot (j mod n))
+          end
+        | Op_timer_cancel i ->
+          Sim.Timer.cancel timers.(i);
+          Ref_sched.remove r (Timer i)
+        | Op_run d ->
+          let until = Sim.now sim +. d in
+          Sim.run sim ~until;
+          Ref_sched.run r ~until
+      in
+      List.for_all (fun op -> step op; agree ()) ops
+      && begin
+        Sim.run_to_completion sim;
+        Ref_sched.run r ~until:infinity;
+        agree () && !log = r.log
+      end)
+
 let suite =
   ( "sim",
     [
@@ -420,4 +615,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_cancel_semantics;
       QCheck_alcotest.to_alcotest prop_cancel_bounded;
       QCheck_alcotest.to_alcotest prop_timer_equivalence;
+      Alcotest.test_case "cancel fired one-shot after id reuse" `Quick
+        test_cancel_fired_after_id_reuse;
+      QCheck_alcotest.to_alcotest prop_heap_oracle;
     ] )
